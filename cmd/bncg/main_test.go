@@ -56,6 +56,27 @@ func TestGenAndCheckPipe(t *testing.T) {
 	}
 }
 
+// TestCheckExtremeAlpha: at α = 2⁶²−1 an added edge costs ~4.6·10¹⁸, so
+// P5 must print the same nine stable lines as at α = 100 — no overflowed
+// comparison may report a cheap add(0-4).
+func TestCheckExtremeAlpha(t *testing.T) {
+	graphText, err := runCLI(t, "", "gen", "path", "5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := runCLI(t, graphText, "check", "-alpha", "100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runCLI(t, graphText, "check", "-alpha", "4611686018427387903")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || strings.Count(got, " stable\n") != 9 {
+		t.Fatalf("P5 at α=2⁶²−1:\n%s\nwant (as at α=100):\n%s", got, want)
+	}
+}
+
 func TestGenFamilies(t *testing.T) {
 	for _, tc := range [][]string{
 		{"gen", "clique", "4"},

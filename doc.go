@@ -53,8 +53,7 @@
 //
 // Enumeration is iterator-first: AllGraphs and AllFreeTrees return
 // iter.Seq2[*Graph, string] (graph, canonical key) sequences supporting
-// early break, which stops the underlying generation immediately. The
-// callback enumerators of v1 remain as thin shims over them.
+// early break, which stops the underlying generation immediately.
 //
 // Streaming: StreamSweep (or SweepOptions.OnItem under RunSweep) delivers
 // sweep items incrementally in exactly the deterministic α-major order of
@@ -101,11 +100,11 @@
 //     their adjacency alongside the sorted neighbor lists. BFS frontiers
 //     advance word-at-a-time, edge queries are a single AND, and
 //     Graph.BFSScratchInto traverses with caller-owned scratch. The
-//     equilibrium checkers scan deviations by mutating edges in place with
-//     per-Evaluator scratch buffers: a stability check at sweep sizes
-//     allocates nothing (a NewEvaluator can be bound to a state with Bind
-//     and queried per concept with CheckBound; Evaluator.Rho is the
-//     allocation-free social-cost ratio).
+//     deviation scans mutate edges in place with per-Evaluator scratch
+//     buffers: a stable check at sweep sizes allocates nothing (a
+//     NewEvaluator can be bound to a state with Bind and queried per
+//     concept with CheckBound; Evaluator.Rho is the allocation-free
+//     social-cost ratio).
 //   - Enumeration is symmetry-pruned: AllGraphClasses and
 //     AllFreeTreeClasses yield one representative per isomorphism class —
 //     the same representative, in the same order, as ever — by rejecting
@@ -127,14 +126,24 @@
 // α* = −ΔDist/ΔBuy), and a state's stable-α set is the complement of a
 // finite interval union. v5 computes that object directly:
 //
-//   - Certify (and Evaluator.Certify/CertifyBound) run the deviation
-//     scans once, collecting each deviation's improving interval in exact
-//     int64 rational arithmetic, and return an AlphaSet: sorted disjoint
-//     intervals over [0, ∞) with open/closed endpoints (stable sets are
-//     closed at breakpoints — indifference is stability — and may be
-//     degenerate single prices), an O(log B) Contains query, and exact
-//     Breakpoints. A scan aborts early once the improving union covers
-//     the whole axis.
+//   - Each concept has one deviation scan, run toward one of two targets.
+//     Check (and CheckBound, CheckKBSE) target the single price gm.Alpha:
+//     every actor is tested with the exact cost comparison, and the scan
+//     stops at the first deviation improving all its actors — the
+//     witness. Certify (and Evaluator.Certify/CertifyBound) target the
+//     whole axis: the scan collects each deviation's improving interval
+//     in exact rational arithmetic and returns an AlphaSet: sorted
+//     disjoint intervals over [0, ∞) with open/closed endpoints (stable
+//     sets are closed at breakpoints — indifference is stability — and
+//     may be degenerate single prices), an O(log B) Contains query, and
+//     exact Breakpoints. Either scan aborts once its improving deviations
+//     cover the target.
+//   - Every rational comparison — α against α, costs at α, certificate
+//     endpoints, persisted intervals — goes through one 128-bit
+//     cross-product comparison, so any price game.ParseAlpha accepts is
+//     compared exactly. Per-agent price multipliers scale the agent's
+//     costs rather than α, and Variant.Validate bounds them so the scaled
+//     costs fit in int64.
 //   - RunSweep is certificate-backed: the task unit is one graph class,
 //     one certificate per concept answers the entire α-grid, and
 //     per-class equilibrium work is independent of grid density
@@ -151,9 +160,11 @@
 //     reports counts per record type, and Compact folds verdict rows
 //     subsumed by a certificate. /v1/check answers any α — gridded or
 //     not — from a cached certificate.
-//   - FuzzCertificateAgreement pins Certify(...).Contains(α) to the
-//     per-α checkers over a dense rational grid including every
-//     certificate's own breakpoints and their midpoints.
+//   - FuzzCertificateAgreement pins Certify(...).Contains(α) to Check —
+//     interval arithmetic against the point comparison over the same
+//     enumeration — on a dense rational grid including every
+//     certificate's own breakpoints and their midpoints; an independent
+//     move-by-move reference enumeration pins the scan itself.
 //
 // # v6: the production-hardened daemon
 //

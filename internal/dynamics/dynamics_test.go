@@ -132,10 +132,10 @@ func TestFixedPointsAreEquilibria(t *testing.T) {
 			t.Fatalf("dynamics did not converge in %d steps (α=%s)", tr.Steps, gm.Alpha)
 		}
 		if psOnly {
-			if r := eq.CheckPS(gm, g); !r.Stable {
+			if r := eq.Check(gm, g, eq.PS); !r.Stable {
 				t.Fatalf("PS fixed point fails exact check: %v", r.Witness)
 			}
-		} else if r := eq.CheckBGE(gm, g); !r.Stable {
+		} else if r := eq.Check(gm, g, eq.BGE); !r.Stable {
 			t.Fatalf("BGE fixed point fails exact check: %v", r.Witness)
 		}
 	}

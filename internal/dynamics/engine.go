@@ -139,7 +139,7 @@ func (e *engine) cost(a int) game.Cost {
 // improves mirrors eq's checker.improves: strict lexicographic improvement
 // at the agent's effective price.
 func (e *engine) improves(a int, before game.Cost) bool {
-	return e.cost(a).Less(before, e.gm.AlphaFor(a))
+	return e.gm.LessFor(a, e.cost(a), before)
 }
 
 // apply performs the candidate's edge toggles, repairing either just the
@@ -245,8 +245,7 @@ func (e *engine) actorMargin(a int, before game.Cost) (float64, bool) {
 	after := e.cost(a)
 	if e.hetero {
 		p, q := e.gm.Variant.MulFor(a)
-		before = game.Cost{Unreachable: before.Unreachable, Buy: before.Buy * p, Dist: before.Dist * q}
-		after = game.Cost{Unreachable: after.Unreachable, Buy: after.Buy * p, Dist: after.Dist * q}
+		before, after = before.Scale(p, q), after.Scale(p, q)
 	}
 	iv, ok := eq.ImprovingIntervalOf(before, after)
 	if !ok || !iv.Contains(e.gm.Alpha) {

@@ -74,38 +74,37 @@ func TestEvaluatorRhoZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEvaluatorMatchesCheckAllConcepts is the kernel differential at the
-// checker level: for every connected graph up to n=5 across a mixed α
-// grid, the scratch-buffer Evaluator (bitset BFS, in-place scans) and the
-// package-level Check must agree on stability AND on the witness move —
-// the scans were rewritten move-for-move, so even the violating witness is
-// pinned.
+// TestEvaluatorMatchesCheckAllConcepts is the differential of the one
+// deviation enumeration: for every connected class up to n=5, the default
+// model and every test variant, and a mixed α grid, the evaluator and the
+// package-level Check must agree with referenceCheck — an independent
+// move-by-move enumeration — on stability AND on the witness move.
 func TestEvaluatorMatchesCheckAllConcepts(t *testing.T) {
 	alphas := []game.Alpha{game.AFrac(1, 2), game.A(1), game.A(3)}
+	variants := append([]game.Variant{{}}, testVariants(t)...)
 	ev := NewEvaluator()
+	witness := func(r Result) string {
+		if r.Witness == nil {
+			return ""
+		}
+		return r.Witness.String()
+	}
 	for n := 2; n <= 5; n++ {
 		for g := range graph.All(n, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}) {
-			for _, alpha := range alphas {
-				gm, err := game.NewGame(n, alpha)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, c := range Concepts() {
-					got := ev.Check(gm, g.Clone(), c)
-					want := Check(gm, g, c)
-					if got.Stable != want.Stable {
-						t.Errorf("n=%d α=%s %s on %s: evaluator stable=%v, check stable=%v",
-							n, alpha, c, g, got.Stable, want.Stable)
-					}
-					gotW, wantW := "", ""
-					if got.Witness != nil {
-						gotW = got.Witness.String()
-					}
-					if want.Witness != nil {
-						wantW = want.Witness.String()
-					}
-					if gotW != wantW {
-						t.Errorf("n=%d α=%s %s on %s: witness %q != %q", n, alpha, c, g, gotW, wantW)
+			for _, variant := range variants {
+				for _, alpha := range alphas {
+					gm := game.Game{N: n, Alpha: alpha, Variant: variant}
+					for _, c := range Concepts() {
+						want := referenceCheck(gm, g, c)
+						for name, got := range map[string]Result{
+							"evaluator": ev.Check(gm, g.Clone(), c),
+							"check":     Check(gm, g, c),
+						} {
+							if got.Stable != want.Stable || witness(got) != witness(want) {
+								t.Errorf("n=%d variant=%s α=%s %s on %s: %s stable=%v witness %q, reference stable=%v witness %q",
+									n, variant, alpha, c, g, name, got.Stable, witness(got), want.Stable, witness(want))
+							}
+						}
 					}
 				}
 			}

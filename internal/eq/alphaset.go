@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/exact"
 	"repro/internal/game"
 )
 
@@ -57,15 +58,7 @@ func (r Rat) Cmp(o Rat) int {
 	case o.IsInf():
 		return -1
 	}
-	lhs, rhs := r.Num*o.Den, o.Num*r.Den
-	switch {
-	case lhs < rhs:
-		return -1
-	case lhs > rhs:
-		return 1
-	default:
-		return 0
-	}
+	return exact.Cmp(r.Num, o.Den, o.Num, r.Den)
 }
 
 // Alpha converts a finite endpoint to a game.Alpha. It panics on +∞.
@@ -165,9 +158,10 @@ func intersect(a, b AlphaInterval) AlphaInterval {
 	return out
 }
 
-// fullAxis is the whole α-axis [0, ∞).
+// fullAxis is the whole α-axis [0, ∞). Every scanned deviation starts
+// from it, so it is a literal rather than a reduced RatOf.
 func fullAxis() AlphaInterval {
-	return AlphaInterval{Lo: RatOf(0, 1), Hi: RatInf()}
+	return AlphaInterval{Lo: Rat{Num: 0, Den: 1}, Hi: RatInf()}
 }
 
 // AlphaSet is a finite union of disjoint, sorted α intervals within

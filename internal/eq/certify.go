@@ -5,26 +5,29 @@ import (
 
 	"repro/internal/game"
 	"repro/internal/graph"
+	"repro/internal/move"
 )
 
-// This file implements the parametric counterparts of the exact checkers:
-// one certification pass over a state's deviation space yields the exact
-// set of edge prices at which the state is stable — an AlphaSet — instead
-// of one verdict at one α. The scans mirror the per-α checkers deviation
-// for deviation (the differential and fuzz harnesses pin the agreement),
-// but instead of testing Cost.Less at the bound α they compute each
-// deviation's improving α-interval from the exact cost deltas and
-// accumulate the union; the stable set is the complement.
+// This file holds the one enumeration of each concept's deviation space.
+// A scan runs toward one of two targets:
 //
-// Two early exits keep certification competitive with a single per-α
-// check:
+//   - a point, the price gm.Alpha (Check, CheckBound, CheckKBSE,
+//     CheckUnilateralAE): each actor is tested with the exact Cost
+//     comparison at that price, and the scan stops at the first deviation
+//     whose actors all strictly improve, which becomes the witness;
+//   - the whole α-axis (Certify, CertifyBound): each actor's improving
+//     α-interval is computed from the exact cost deltas, the actors'
+//     intervals are intersected, and the union over all deviations is
+//     accumulated; the stable AlphaSet is its complement.
 //
-//   - per deviation, the running intersection of the actors' improving
-//     intervals is abandoned as soon as it is empty (the analogue of the
-//     checkers' allImprove early exit);
-//   - per scan, the whole search aborts once the accumulated improving
-//     union covers [0, ∞) — a state unstable at every price certifies as
-//     fast as the per-α checker refutes it.
+// Both targets share two early exits: per deviation, the actors are
+// abandoned at the first one that does not improve (or whose interval
+// empties the intersection); per scan, the search aborts once the
+// improving deviations cover the target — a state unstable at every price
+// certifies as fast as a point check refutes it. Because the point test
+// is Cost.Less and the axis test is interval arithmetic, the certificate
+// differential tests and FuzzCertificateAgreement check one against the
+// other over the same enumeration.
 
 // Certify returns the exact set of edge prices at which g is stable for
 // concept c. The α carried by gm is irrelevant — only the node count is
@@ -53,11 +56,38 @@ func (ev *Evaluator) Certify(gm game.Game, g *graph.Graph, c Concept) AlphaSet {
 // bound state.
 func (ev *Evaluator) CertifyBound(c Concept) AlphaSet { return ev.c.certify(c) }
 
-// certify dispatches to the per-concept certificate scan and folds the
+// begin starts a scan toward a target: the single price gm.Alpha when
+// point is set, the whole α-axis otherwise.
+func (c *checker) begin(point bool) {
+	c.point = point
+	c.covered = false
+	c.witness = nil
+	c.union = c.union[:0]
+}
+
+// verdict reads a point scan's result: stable unless a deviation covered
+// the price, with that deviation as the witness.
+func (c *checker) verdict() Result { return Result{Stable: !c.covered, Witness: c.witness} }
+
+// check runs concept's scan at the price gm.Alpha.
+func (c *checker) check(concept Concept) Result {
+	c.begin(true)
+	c.scan(concept)
+	return c.verdict()
+}
+
+// certify runs concept's scan over the whole α-axis and folds the
 // accumulated improving union into the stable AlphaSet.
 func (c *checker) certify(concept Concept) AlphaSet {
-	c.union = c.union[:0]
-	c.covered = false
+	c.begin(false)
+	c.scan(concept)
+	return complementAxis(c.union)
+}
+
+// scan dispatches to the concept's deviation scans, in the order that
+// fixes which deviation a point scan reports: PS is RE then BAE, BGE is
+// PS then BSwE.
+func (c *checker) scan(concept Concept) {
 	switch concept {
 	case RE:
 		c.certRE()
@@ -83,7 +113,6 @@ func (c *checker) certify(concept Concept) AlphaSet {
 	default:
 		panic(fmt.Sprintf("eq: unknown concept %d", int(concept)))
 	}
-	return complementAxis(c.union)
 }
 
 // ImprovingIntervalOf is the exported face of the certificate engine's
@@ -92,7 +121,7 @@ func (c *checker) certify(concept Concept) AlphaSet {
 // breakpoint-guided dynamics scheduler uses it to rank improving moves by
 // how far α sits from the price at which they stop improving. Heterogeneous
 // price multipliers are the caller's concern: scale both costs by the
-// agent's (p, q) first, exactly as Certify does.
+// agent's (p, q) first (game.Cost.Scale), exactly as Certify does.
 func ImprovingIntervalOf(before, after game.Cost) (AlphaInterval, bool) {
 	return improvingIntervalOf(before, after)
 }
@@ -138,30 +167,17 @@ func improvingIntervalOf(before, after game.Cost) (AlphaInterval, bool) {
 	}
 }
 
-// improvingInterval returns agent u's improving interval in the current
-// (mutated) graph against the bound baseline. With a price multiplier p/q
-// on agent u the improving condition α·(p/q)·ΔBuy + ΔDist < 0 clears
-// denominators as α·(p·ΔBuy) + (q·ΔDist) < 0, so scaling both costs'
-// (Buy, Dist) by (p, q) reduces the heterogeneous case to the uniform
-// interval computation with the breakpoints still exact in the global α.
-func (c *checker) improvingInterval(u int) (AlphaInterval, bool) {
-	before, after := c.base[u], c.cost(u)
-	if c.hetero {
-		p, q := c.pmul[u], c.qmul[u]
-		before = game.Cost{Unreachable: before.Unreachable, Buy: before.Buy * p, Dist: before.Dist * q}
-		after = game.Cost{Unreachable: after.Unreachable, Buy: after.Buy * p, Dist: after.Dist * q}
-	}
-	return improvingIntervalOf(before, after)
-}
-
-// The deviation accumulation protocol of the certificate scans — a
-// begin/actor/commit triple on plain checker fields rather than closures,
-// so the per-deviation hot path (run millions of times per sweep)
-// allocates nothing:
+// The deviation protocol of the scans — a begin/actor/commit triple on
+// plain checker fields rather than closures, so the per-deviation hot path
+// (run millions of times per sweep) allocates nothing:
 //
 //	c.devBegin()
-//	c.devActor(u) && c.devActor(v) ...   // false once the intersection dies
-//	done := c.devCommit()                // merge; true once [0, ∞) is covered
+//	c.devActor(u) && c.devActor(v) ...   // false once the deviation fails
+//	done := c.devCommit()                // true once the target is covered
+//
+// done tells the scan to stop. A point scan is done at its first deviation
+// whose actors all improve at gm.Alpha, and only then builds the witness
+// move; an axis scan is done once the improving union covers [0, ∞).
 
 // devBegin starts a new deviation with the whole axis as the running
 // intersection of the actors' improving intervals.
@@ -170,12 +186,18 @@ func (c *checker) devBegin() {
 	c.devAlive = true
 }
 
-// devActor narrows the running intersection by agent u's improving
-// interval in the current (mutated) graph. It reports whether the
-// deviation can still improve anyone — the certificate analogue of
-// allImprove's early exit.
+// devActor adds agent u as an actor of the current deviation, in the
+// current (mutated) graph. At a point target u must improve at gm.Alpha;
+// on the axis her improving interval narrows the running intersection.
+// It reports whether the deviation can still improve every actor so far —
+// the scans' per-deviation early exit.
 func (c *checker) devActor(u int) bool {
-	a, ok := c.improvingInterval(u)
+	before, after := c.costs(u)
+	if c.point {
+		c.devAlive = after.Less(before, c.gm.Alpha)
+		return c.devAlive
+	}
+	a, ok := improvingIntervalOf(before, after)
 	if !ok {
 		c.devAlive = false
 		return false
@@ -188,17 +210,25 @@ func (c *checker) devActor(u int) bool {
 	return true
 }
 
-// devCommit merges a still-alive deviation's improving interval into the
-// union and reports whether the union now covers the whole axis, the
-// scans' abort signal.
+// devCommit closes the current deviation and reports whether the target
+// is now covered. A still-alive deviation covers a point target outright;
+// on the axis its interval is merged into the union.
 func (c *checker) devCommit() bool {
 	if c.devAlive {
-		c.union = unionAdd(c.union, c.devIval)
-		if coversAxis(c.union) {
+		if c.point {
 			c.covered = true
+		} else {
+			c.mergeDeviation()
 		}
 	}
 	return c.covered
+}
+
+// mergeDeviation merges the closed deviation's interval into the union.
+// It is kept out of devCommit so that devCommit inlines into the scans.
+func (c *checker) mergeDeviation() {
+	c.union = unionAdd(c.union, c.devIval)
+	c.covered = coversAxis(c.union)
 }
 
 // accumulate1 and accumulate2 are the fixed-arity conveniences of the
@@ -217,8 +247,9 @@ func (c *checker) accumulate2(u, v int) bool {
 	return c.devCommit()
 }
 
-// certRE scans the single-edge removals (both directions, matching the
-// checker's move order).
+// certRE scans the single-edge removals: edges in canonical (U<V)
+// lexicographic order — the Edges() order — with the smaller endpoint
+// tried as the remover first.
 func (c *checker) certRE() {
 	for u := 0; u < c.g.N() && !c.covered; u++ {
 		nb := c.snapshotNeighbors(u)
@@ -227,52 +258,55 @@ func (c *checker) certRE() {
 				continue
 			}
 			c.g.RemoveEdge(u, v)
-			done := c.accumulate1(u) || c.accumulate1(v)
+			remover, done := u, c.accumulate1(u)
+			if !done {
+				remover, done = v, c.accumulate1(v)
+			}
 			c.g.AddEdge(u, v)
 			if done {
+				if c.point {
+					c.witness = move.Remove{U: remover, V: u + v - remover}
+				}
 				return
 			}
 		}
 	}
 }
 
-// certBAE scans the single-edge additions: bilateral pairs with both
+// certBAE scans the single-edge additions: bilateral pairs u<v with both
 // endpoints as actors, or — under unilateral consent — ordered
-// (buyer, target) pairs with the buyer as sole actor, mirroring the
-// per-α scan deviation for deviation.
+// (buyer, target) pairs with the buyer as sole actor.
 func (c *checker) certBAE() {
-	if c.unilateral {
-		for u := 0; u < c.g.N() && !c.covered; u++ {
-			for v := 0; v < c.g.N(); v++ {
-				if v == u || c.g.HasEdge(u, v) {
-					continue
-				}
-				c.g.AddEdge(u, v)
-				done := c.accumulate1(u)
-				c.g.RemoveEdge(u, v)
-				if done {
-					return
-				}
-			}
+	n := c.g.N()
+	for u := 0; u < n && !c.covered; u++ {
+		v := u + 1
+		if c.unilateral {
+			v = 0
 		}
-		return
-	}
-	for u := 0; u < c.g.N() && !c.covered; u++ {
-		for v := u + 1; v < c.g.N(); v++ {
-			if c.g.HasEdge(u, v) {
+		for ; v < n; v++ {
+			if v == u || c.g.HasEdge(u, v) {
 				continue
 			}
 			c.g.AddEdge(u, v)
-			done := c.accumulate2(u, v)
+			var done bool
+			if c.unilateral {
+				done = c.accumulate1(u)
+			} else {
+				done = c.accumulate2(u, v)
+			}
 			c.g.RemoveEdge(u, v)
 			if done {
+				if c.point {
+					c.witness = move.Add{U: u, V: v}
+				}
 				return
 			}
 		}
 	}
 }
 
-// certBSwE scans the edge swaps uv → uw (actors u and w).
+// certBSwE scans the edge swaps uv → uw: actors u and the new partner w,
+// or u alone under unilateral consent.
 func (c *checker) certBSwE() {
 	for u := 0; u < c.g.N() && !c.covered; u++ {
 		nb := c.snapshotNeighbors(u)
@@ -292,6 +326,9 @@ func (c *checker) certBSwE() {
 				c.g.RemoveEdge(u, w)
 				c.g.AddEdge(u, v)
 				if done {
+					if c.point {
+						c.witness = move.Swap{U: u, Old: v, New: w}
+					}
 					return
 				}
 			}
@@ -299,8 +336,11 @@ func (c *checker) certBSwE() {
 	}
 }
 
-// certBNE scans every neighborhood change (drop any incident subset, add
-// any non-neighbor subset; actors are u and the new partners).
+// certBNE scans every neighborhood change around each agent u: drop the
+// incident subset selected by rMask, connect to the non-neighbor subset
+// selected by aMask. The actors are u and — under bilateral consent —
+// every new partner. The search is exact over all 2^{deg(u)} ×
+// 2^{n-1-deg(u)} pairs per agent, intended for n up to roughly 16.
 func (c *checker) certBNE() {
 	n := c.g.N()
 	for u := 0; u < n && !c.covered; u++ {
@@ -329,8 +369,6 @@ func (c *checker) certBNE() {
 				}
 				c.devBegin()
 				if c.devActor(u) && !c.unilateral {
-					// Bilateral consent: intersect every new partner's
-					// improving interval too.
 					for i, w := range nn {
 						if aMask&(1<<i) != 0 && !c.devActor(w) {
 							break
@@ -349,6 +387,9 @@ func (c *checker) certBNE() {
 					}
 				}
 				if done {
+					if c.point {
+						c.witness = move.Neighborhood{U: u, RemoveTo: subsetOf(nb, rMask), AddTo: subsetOf(nn, aMask)}
+					}
 					return
 				}
 			}
@@ -357,7 +398,7 @@ func (c *checker) certBNE() {
 }
 
 // certKBSE scans every coalition of size at most k and every legal
-// (removals, additions) move, mirroring checkKBSE's enumeration.
+// (removals, additions) move, with every member as an actor.
 func (c *checker) certKBSE(k int) {
 	if k < 1 {
 		return
@@ -369,10 +410,10 @@ func (c *checker) certKBSE(k int) {
 	c.certCoalitions(0, k)
 }
 
+// certCoalitions enumerates coalitions Γ ⊆ V with |Γ| ≤ maxK in
+// lexicographic order (members strictly increasing, starting at from),
+// growing and shrinking the shared members scratch in place.
 func (c *checker) certCoalitions(from, maxK int) {
-	if c.covered {
-		return
-	}
 	if len(c.members) > 0 {
 		c.certCoalitionMoves()
 		if c.covered {
@@ -392,6 +433,10 @@ func (c *checker) certCoalitions(from, maxK int) {
 	}
 }
 
+// certCoalitionMoves enumerates every (removals, additions) pair legal for
+// the current coalition scratch. Removable: existing edges touching the
+// coalition, in canonical lexicographic (U<V) order. Addable: absent edges
+// inside the coalition, in member order.
 func (c *checker) certCoalitionMoves() {
 	n := c.g.N()
 	if cap(c.inCoal) < n {
@@ -422,7 +467,9 @@ func (c *checker) certCoalitionMoves() {
 	}
 	c.removable, c.addable = removable, addable
 	if len(removable) > 30 || len(addable) > 30 {
-		panic("eq: coalition move space too large for exact k-BSE certification")
+		// Guard against accidental astronomically large searches; the
+		// exact scan is documented for small instances only.
+		panic("eq: coalition move space too large for an exact k-BSE scan")
 	}
 	for rMask := 0; rMask < 1<<len(removable) && !c.covered; rMask++ {
 		for aMask := 0; aMask < 1<<len(addable); aMask++ {
@@ -457,8 +504,30 @@ func (c *checker) certCoalitionMoves() {
 				}
 			}
 			if done {
+				if c.point {
+					c.witness = move.Coalition{
+						Members:     append([]int(nil), c.members...),
+						RemoveEdges: subsetOf(removable, rMask),
+						AddEdges:    subsetOf(addable, aMask),
+					}
+				}
 				return
 			}
 		}
 	}
+}
+
+// subsetOf returns the elements of s selected by mask, or nil for the
+// empty mask.
+func subsetOf[T any](s []T, mask int) []T {
+	if mask == 0 {
+		return nil
+	}
+	out := make([]T, 0, len(s))
+	for i, v := range s {
+		if mask&(1<<i) != 0 {
+			out = append(out, v)
+		}
+	}
+	return out
 }

@@ -108,7 +108,7 @@ func TestCertifyKnownThresholds(t *testing.T) {
 		t.Errorf("star BAE certificate = %s, want [1, ∞)", got)
 	}
 
-	// Consistency with the per-α checkers at the breakpoints themselves.
+	// Consistency with Check at the breakpoints themselves.
 	for _, alpha := range []game.Alpha{game.AFrac(1, 2), game.A(1), game.AFrac(3, 2)} {
 		gmA, err := game.NewGame(5, alpha)
 		if err != nil {
@@ -153,7 +153,7 @@ func certProbePoints(set AlphaSet) []game.Alpha {
 
 // TestCertifyMatchesCheckAllSmall is the deterministic differential: for
 // every connected graph class up to n=5 and every concept, the certificate
-// must agree with the per-α checker on a dense grid including its own
+// must agree with Check on a dense grid including its own
 // breakpoints and their midpoints. This is the tier-1 twin of the
 // FuzzCertificateAgreement harness.
 func TestCertifyMatchesCheckAllSmall(t *testing.T) {

@@ -1,15 +1,19 @@
-// Package eq implements exact equilibrium checkers for every solution
-// concept of the paper — RE, BAE, PS, BSwE, BGE, BNE, k-BSE, BSE for the
-// bilateral game, and RE/AE/NE for the unilateral NCG — plus the paper's
-// analytic stability conditions for the structured lower-bound families.
+// Package eq decides stability exactly for every solution concept of the
+// paper — RE, BAE, PS, BSwE, BGE, BNE, k-BSE, BSE for the bilateral game,
+// and RE/AE/NE for the unilateral NCG — plus the paper's analytic
+// stability conditions for the structured lower-bound families.
 //
-// Every checker returns a Result carrying a witness move when the state is
-// unstable, so tests and experiments can assert on the violation itself.
+// Each bilateral concept has one deviation scan (certify.go) with two
+// targets. Check asks about the single price gm.Alpha and returns a Result
+// carrying the first improving deviation as its witness move, so tests and
+// experiments can assert on the violation itself. Certify asks about the
+// whole α-axis and returns the exact AlphaSet of prices at which the state
+// is stable.
 //
-// The package-level Check* functions allocate fresh working buffers per
-// call. Hot loops that evaluate many states — notably the parallel sweep
-// engine in repro/internal/sweep — use an Evaluator instead, which reuses
-// its BFS and baseline-cost buffers across calls. Checkers explore moves by
+// The package-level functions allocate fresh working buffers per call.
+// Hot loops that evaluate many states — notably the parallel sweep engine
+// in repro/internal/sweep — use an Evaluator instead, which reuses its BFS,
+// baseline-cost and scan buffers across calls. The scans explore moves by
 // mutating the graph in place and undoing, so neither an Evaluator nor a
 // Graph under evaluation may be shared between goroutines.
 package eq
@@ -97,23 +101,41 @@ func stable() Result { return Result{Stable: true} }
 
 func unstable(w move.Move) Result { return Result{Stable: false, Witness: w} }
 
-// Check dispatches to the exact checker for the concept. BSE uses
-// coalitions of size up to n.
+// Check reports whether g is stable for concept c at the price gm.Alpha,
+// with the first improving deviation in scan order as the witness when it
+// is not. BSE uses coalitions of size up to n.
 func Check(gm game.Game, g *graph.Graph, c Concept) Result {
 	var ch checker
 	ch.reset(gm, g)
 	return ch.check(c)
 }
 
+// CheckKBSE reports whether g is a Bilateral k-Strong Equilibrium: no
+// coalition Γ of size at most k has a move — deleting edges that touch Γ
+// and adding edges inside Γ — from which every member of Γ strictly
+// benefits. CheckKBSE(gm, g, g.N()) is the full BSE check.
+//
+// The search is exact: it enumerates every coalition, every removable edge
+// subset and every addable edge subset, with early-exit cost evaluation.
+// Complexity is exponential; it is intended for n ≤ 6 at k = n and n ≤ ~12
+// for k ≤ 3.
+func CheckKBSE(gm game.Game, g *graph.Graph, k int) Result {
+	var c checker
+	c.reset(gm, g)
+	c.begin(true)
+	c.certKBSE(k)
+	return c.verdict()
+}
+
 // Evaluator is a reusable equilibrium evaluator: it keeps the BFS scratch,
 // the baseline-cost slice and the deviation-scan buffers alive between
 // calls, so sweeps over many states allocate nothing per stability check
-// (at sweep sizes) instead of re-allocating per state. The hot-path scans
-// mutate edges directly and only materialize a move.Move on the cold
-// unstable path, for the witness.
+// (at sweep sizes) instead of re-allocating per state. The scans mutate
+// edges directly and only materialize a move.Move on the cold unstable
+// path, for the witness.
 //
 // An Evaluator is deliberately not safe for concurrent use — and neither is
-// the Graph it evaluates, because checkers apply candidate moves in place
+// the Graph it evaluates, because the scans apply candidate moves in place
 // (always undoing them before returning). A parallel sweep therefore gives
 // each worker goroutine its own Evaluator and its own private Graph clone.
 type Evaluator struct {
@@ -134,7 +156,7 @@ func (ev *Evaluator) Check(gm game.Game, g *graph.Graph, c Concept) Result {
 // costs once; subsequent CheckBound calls evaluate concepts against the
 // bound state without recomputing the baseline. Bind/CheckBound is the
 // sweep engine's path for checking several concepts per (graph, α) task:
-// every checker restores the graph before returning, so the baseline stays
+// every scan restores the graph before returning, so the baseline stays
 // valid across the whole concept grid.
 func (ev *Evaluator) Bind(gm game.Game, g *graph.Graph) { ev.c.reset(gm, g) }
 
@@ -162,11 +184,11 @@ func (ev *Evaluator) Rho(gm game.Game, g *graph.Graph) float64 {
 	return gm.RhoOfCost(total)
 }
 
-// checker bundles the state shared by the exact checkers: the game, the
-// graph under test, the baseline agent costs, the BFS scratch and the
-// deviation-scan buffers. All buffers grow to the largest instance seen
-// and are then reused, so a long-lived checker (via Evaluator) performs
-// zero allocations per check at sweep sizes.
+// checker bundles the state of the deviation scans: the game, the graph
+// under test, the baseline agent costs, the BFS scratch, the scan buffers
+// and the scan's target. All buffers grow to the largest instance seen and
+// are then reused, so a long-lived checker (via Evaluator) performs zero
+// allocations per stable check at sweep sizes.
 type checker struct {
 	gm   game.Game
 	g    *graph.Graph
@@ -183,22 +205,26 @@ type checker struct {
 	inCoal    []bool
 	removable []graph.Edge
 	addable   []graph.Edge
-	// Certificate-scan state: the merged union of improving α-intervals
-	// accumulated so far, whether it already covers the whole axis (the
-	// certify early-exit), and the running intersection of the current
-	// deviation's actor intervals (see certify.go).
-	union    []AlphaInterval
+	// Scan state (see certify.go). point selects the target: the single
+	// price gm.Alpha, or the whole α-axis. covered reports that the
+	// improving deviations found so far cover the target — the scans'
+	// abort signal. A point scan stops at its first improving deviation
+	// and records it as witness; an axis scan accumulates the merged
+	// union of improving α-intervals, with devIval the running
+	// intersection of the current deviation's actor intervals.
+	point    bool
 	covered  bool
+	witness  move.Move
+	union    []AlphaInterval
 	devIval  AlphaInterval
 	devAlive bool
 	// Variant state, latched at reset so the hot loops branch on plain
 	// booleans: unilateral consent switches the add/swap/neighborhood
-	// scans to initiator-only improvement; hetero switches cost
-	// comparisons to per-agent effective prices (aFor) and certificate
-	// intervals to multiplier-scaled deltas (pmul/qmul).
+	// scans to initiator-only improvement; hetero scales each agent's
+	// costs by her multiplier p/q (pmul/qmul) before they are compared at
+	// the global α.
 	unilateral bool
 	hetero     bool
-	aFor       []game.Alpha
 	pmul       []int64
 	qmul       []int64
 }
@@ -218,16 +244,13 @@ func (c *checker) reset(gm game.Game, g *graph.Graph) {
 	c.unilateral = gm.Variant.Consent == game.ConsentUnilateral
 	c.hetero = len(gm.Variant.Prices) > 0
 	if c.hetero {
-		if cap(c.aFor) < n {
-			c.aFor = make([]game.Alpha, n)
+		if cap(c.pmul) < n {
 			c.pmul = make([]int64, n)
 			c.qmul = make([]int64, n)
 		}
-		c.aFor = c.aFor[:n]
 		c.pmul = c.pmul[:n]
 		c.qmul = c.qmul[:n]
 		for u := 0; u < n; u++ {
-			c.aFor[u] = gm.AlphaFor(u)
 			c.pmul[u], c.qmul[u] = gm.Variant.MulFor(u)
 		}
 	}
@@ -245,46 +268,23 @@ func (c *checker) snapshotNeighbors(u int) []int {
 	return c.nbuf
 }
 
-// check dispatches to the per-concept checker method.
-func (c *checker) check(concept Concept) Result {
-	switch concept {
-	case RE:
-		return c.checkRE()
-	case BAE:
-		return c.checkBAE()
-	case PS:
-		return c.checkPS()
-	case BSwE:
-		return c.checkBSwE()
-	case BGE:
-		return c.checkBGE()
-	case BNE:
-		return c.checkBNE()
-	case TwoBSE:
-		return c.checkKBSE(2)
-	case ThreeBSE:
-		return c.checkKBSE(3)
-	case BSE:
-		return c.checkKBSE(c.g.N())
-	default:
-		panic(fmt.Sprintf("eq: unknown concept %d", int(concept)))
-	}
-}
-
-// cost returns agent u's cost in the current (possibly mutated) graph.
-func (c *checker) cost(u int) game.Cost {
+// costs returns agent u's baseline cost and her cost in the current
+// (possibly mutated) graph, both scaled by her price multiplier so that
+// they compare — and yield breakpoints — in the global α.
+func (c *checker) costs(u int) (before, after game.Cost) {
 	c.g.BFSScratchInto(u, c.dist, &c.bfs)
-	return c.gm.AgentCostFromDist(c.g, u, c.dist)
+	before, after = c.base[u], c.gm.AgentCostFromDist(c.g, u, c.dist)
+	if c.hetero {
+		before, after = before.Scale(c.pmul[u], c.qmul[u]), after.Scale(c.pmul[u], c.qmul[u])
+	}
+	return before, after
 }
 
 // improves reports whether agent u's current cost is strictly below her
-// baseline cost, at u's effective edge price.
+// baseline cost at the price gm.Alpha.
 func (c *checker) improves(u int) bool {
-	a := c.gm.Alpha
-	if c.hetero {
-		a = c.aFor[u]
-	}
-	return c.cost(u).Less(c.base[u], a)
+	before, after := c.costs(u)
+	return after.Less(before, c.gm.Alpha)
 }
 
 // allImprove reports whether every listed agent strictly improves over the

@@ -55,14 +55,14 @@ func TestCliqueOnlyBSEBelowOne(t *testing.T) {
 	n := 4
 	gm := mustGame(t, n, game.AFrac(1, 2))
 	stableCount := 0
-	graph.Enumerate(n, graph.EnumOptions{ConnectedOnly: true, MaxEdges: -1}, func(g *graph.Graph) {
+	for g := range graph.All(n, graph.EnumOptions{ConnectedOnly: true, MaxEdges: -1}) {
 		if CheckKBSE(gm, g, n).Stable {
 			stableCount++
 			if g.M() != n*(n-1)/2 {
 				t.Fatalf("non-clique BSE at α=1/2: %s", g)
 			}
 		}
-	})
+	}
 	if stableCount != 1 {
 		t.Fatalf("found %d labeled BSE graphs at α=1/2, want 1 (the clique)", stableCount)
 	}
@@ -72,19 +72,19 @@ func TestCliqueOnlyBSEBelowOne(t *testing.T) {
 func TestDiameterTwoBSEAtOne(t *testing.T) {
 	n := 4
 	gm := mustGame(t, n, game.A(1))
-	graph.Enumerate(n, graph.EnumOptions{ConnectedOnly: true, MaxEdges: -1}, func(g *graph.Graph) {
+	for g := range graph.All(n, graph.EnumOptions{ConnectedOnly: true, MaxEdges: -1}) {
 		got := CheckKBSE(gm, g, n).Stable
 		want := g.Diameter() <= 2
 		if got != want {
 			t.Fatalf("α=1 BSE=%v but diameter=%d for %s", got, g.Diameter(), g)
 		}
-	})
+	}
 }
 
 func TestCycleREWitness(t *testing.T) {
 	// C4 at α=3: removing an edge saves 3 and costs only +2 distance.
 	gm := mustGame(t, 4, game.A(3))
-	r := CheckRE(gm, construct.Cycle(4))
+	r := Check(gm, construct.Cycle(4), RE)
 	if r.Stable {
 		t.Fatal("C4 at α=3 reported RE-stable")
 	}
@@ -96,7 +96,7 @@ func TestCycleREWitness(t *testing.T) {
 func TestPathBAEWitness(t *testing.T) {
 	// P4 at α=1/2: endpoints profit from closing the cycle.
 	gm := mustGame(t, 4, game.AFrac(1, 2))
-	r := CheckBAE(gm, construct.Path(4))
+	r := Check(gm, construct.Path(4), BAE)
 	if r.Stable {
 		t.Fatal("P4 at α=1/2 reported BAE-stable")
 	}
@@ -113,7 +113,7 @@ func TestTreesAlwaysRE(t *testing.T) {
 		n := 2 + rng.Intn(10)
 		g := graph.RandomTree(n, rng)
 		gm := mustGame(t, n, game.AFrac(int64(1+rng.Intn(20)), int64(1+rng.Intn(3))))
-		if r := CheckRE(gm, g); !r.Stable {
+		if r := Check(gm, g, RE); !r.Stable {
 			t.Fatalf("tree unstable for RE: %s witness %v", g, r.Witness)
 		}
 	}
@@ -131,7 +131,7 @@ func TestREEquivalentToMultiRemove(t *testing.T) {
 			t.Fatal(err)
 		}
 		gm := mustGame(t, n, game.AFrac(int64(1+rng.Intn(12)), int64(1+rng.Intn(2))))
-		single := CheckRE(gm, g).Stable
+		single := Check(gm, g, RE).Stable
 		multi := CheckMultiRemove(gm, g).Stable
 		if single != multi {
 			t.Fatalf("RE=%v but multi-remove=%v for %s at α=%s", single, multi, g, gm.Alpha)
@@ -213,16 +213,16 @@ func TestWitnessesAreImproving(t *testing.T) {
 func TestTreeBGEEquals2BSE(t *testing.T) {
 	alphas := []game.Alpha{game.AFrac(1, 2), game.AFrac(3, 2), game.A(3), game.A(8)}
 	for n := 3; n <= 7; n++ {
-		graph.FreeTrees(n, func(g *graph.Graph) {
+		for g := range graph.AllFreeTrees(n) {
 			for _, alpha := range alphas {
 				gm := mustGame(t, n, alpha)
-				bge := CheckBGE(gm, g).Stable
+				bge := Check(gm, g, BGE).Stable
 				twoBSE := CheckKBSE(gm, g, 2).Stable
 				if bge != twoBSE {
 					t.Fatalf("tree %s at α=%s: BGE=%v, 2-BSE=%v", g, alpha, bge, twoBSE)
 				}
 			}
-		})
+		}
 	}
 }
 
@@ -277,5 +277,44 @@ func TestConceptStrings(t *testing.T) {
 	}
 	if len(Concepts()) != len(want) {
 		t.Fatal("Concepts() length mismatch")
+	}
+}
+
+// extremeAlphas are prices at the edge of what game.ParseAlpha accepts:
+// 2⁶²−1, (2⁶³−1)/3, 1/(2⁶³−1) and (2⁶³−2)/(2⁶³−1). Any int64 product of
+// such a price with a cost overflows, so these are the cells where the
+// exact comparisons must be exact in 128 bits.
+func extremeAlphas() []game.Alpha {
+	const max = 1<<63 - 1
+	return []game.Alpha{game.A(1<<62 - 1), game.AFrac(max, 3), game.AFrac(1, max), game.AFrac(max-1, max)}
+}
+
+// TestCheckMatchesCertifyAtExtremeAlpha: on P5, the star and K5, at every
+// extreme price and with and without a price multiplier, Check must not
+// panic and must agree with the certificate. P5 at 2⁶²−1 is stable for
+// every concept: an added edge costs its buyers ~4.6·10¹⁸.
+func TestCheckMatchesCertifyAtExtremeAlpha(t *testing.T) {
+	mul, err := game.ParseVariant("mul:0=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*graph.Graph{"P5": construct.Path(5), "star5": game.Star(5), "K5": game.Clique(5)}
+	for name, g := range graphs {
+		for _, variant := range []game.Variant{{}, mul} {
+			for _, alpha := range extremeAlphas() {
+				gm := mustGame(t, 5, alpha)
+				gm.Variant = variant
+				for _, c := range Concepts() {
+					r := Check(gm, g, c)
+					if cert := Certify(gm, g, c); cert.Contains(alpha) != r.Stable {
+						t.Errorf("%s variant=%s α=%s %s: Check stable=%v (witness %v), certificate %s",
+							name, variant, alpha, c, r.Stable, r.Witness, cert)
+					}
+					if name == "P5" && alpha == game.A(1<<62-1) && !r.Stable {
+						t.Errorf("P5 variant=%s α=%s %s: unstable with witness %v", variant, alpha, c, r.Witness)
+					}
+				}
+			}
+		}
 	}
 }

@@ -52,7 +52,7 @@ func TestDisconnectedNeverBAE(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return !CheckBAE(gm, g).Stable
+		return !Check(gm, g, BAE).Stable
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -89,10 +89,10 @@ func TestCostOrderingProperties(t *testing.T) {
 func TestTinyGames(t *testing.T) {
 	gm := mustGame(t, 2, game.A(2))
 	g := graph.New(2)
-	if !CheckRE(gm, g).Stable {
+	if !Check(gm, g, RE).Stable {
 		t.Fatal("empty 2-graph should be RE")
 	}
-	if CheckBAE(gm, g).Stable {
+	if Check(gm, g, BAE).Stable {
 		t.Fatal("disconnected 2-graph must fail BAE (connectivity dominates)")
 	}
 	g.AddEdge(0, 1)
@@ -116,7 +116,7 @@ func TestBNEAgainstBruteForce(t *testing.T) {
 		}
 		gm := mustGame(t, n, game.AFrac(int64(1+rng.Intn(8)), 2))
 		want := bruteForceBNE(gm, g)
-		got := CheckBNE(gm, g).Stable
+		got := Check(gm, g, BNE).Stable
 		if got != want {
 			t.Fatalf("BNE checker %v, brute force %v on %s at α=%s", got, want, g, gm.Alpha)
 		}

@@ -34,14 +34,11 @@ func CheckUnilateralRE(gm game.Game, g *graph.Graph, o *game.Ownership) Result {
 // unilateral NCG: no agent strictly improves by buying a single new edge on
 // her own. Ownership is irrelevant: the buyer pays α regardless.
 //
-// It is a shim over the variant engine: the scan is exactly the BAE check
-// under unilateral consent, and the differential tests pin that the shim
-// is byte-identical to the historical direct implementation.
+// It is the BAE scan under unilateral consent, and the differential tests
+// pin that it is byte-identical to the historical direct implementation.
 func CheckUnilateralAE(gm game.Game, g *graph.Graph) Result {
 	gm.Variant.Consent = game.ConsentUnilateral
-	var c checker
-	c.reset(gm, g)
-	return c.checkBAE()
+	return Check(gm, g, BAE)
 }
 
 // NCGStrategyChange is the witness of a unilateral NE violation: agent U

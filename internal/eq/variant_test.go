@@ -197,13 +197,20 @@ func TestVariantKnownThresholds(t *testing.T) {
 
 // FuzzVariantCertificateAgreement extends the certificate differential
 // fuzz target across the variant family: decoded graph × variant pick ×
-// concept pick, certificate vs per-α checker on the dense probe grid.
+// concept pick, certificate vs Check on the dense probe grid.
 func FuzzVariantCertificateAgreement(f *testing.F) {
-	f.Add("n 3\n0 1\n1 2\n", uint8(0), uint8(0))
-	f.Add("n 4\n0 1\n1 2\n2 3\n3 0\n", uint8(1), uint8(1))
-	f.Add("n 5\n0 1\n0 2\n0 3\n0 4\n", uint8(3), uint8(2))
-	f.Add("n 5\n0 1\n1 2\n2 3\n3 4\n", uint8(7), uint8(3))
-	f.Fuzz(func(t *testing.T, input string, pick, vpick uint8) {
+	f.Add("n 3\n0 1\n1 2\n", uint8(0), uint8(0), int64(1), int64(1))
+	f.Add("n 4\n0 1\n1 2\n2 3\n3 0\n", uint8(1), uint8(1), int64(1), int64(1))
+	f.Add("n 5\n0 1\n0 2\n0 3\n0 4\n", uint8(3), uint8(2), int64(1), int64(1))
+	f.Add("n 5\n0 1\n1 2\n2 3\n3 4\n", uint8(7), uint8(3), int64(1), int64(1))
+	for i, input := range extremeSeedGraphs {
+		for j, a := range extremeAlphas() {
+			for vpick := uint8(0); vpick < 4; vpick++ {
+				f.Add(input, uint8(i+j), vpick, a.Num(), a.Den())
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, input string, pick, vpick uint8, num, den int64) {
 		g, err := graph.Decode(input)
 		if err != nil || g.N() < 2 || g.N() > 5 {
 			return
@@ -239,6 +246,9 @@ func FuzzVariantCertificateAgreement(f *testing.F) {
 				t.Fatalf("variant=%s %s at α=%s on %s: certificate says %v, checker says %v (cert %s)",
 					variant, concept, alpha, g, got, want, set)
 			}
+		}
+		if alpha, err := game.NewAlpha(num, den); err == nil {
+			probe(alpha)
 		}
 		for den := int64(1); den <= 3; den++ {
 			for num := int64(0); num <= 9; num++ {

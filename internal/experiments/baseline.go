@@ -85,8 +85,8 @@ func runAppendixB(ctx context.Context, s Scale) *Report {
 			r.addCheck("setup", false, "%v", err)
 			return r
 		}
-		graph.Enumerate(n, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}, func(g *graph.Graph) {
-			if eq.CheckRE(gm, g).Stable {
+		for g := range graph.All(n, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}) {
+			if eq.Check(gm, g, eq.RE).Stable {
 				reChecked++
 				social := gm.SocialCost(g).Value(alpha)
 				for u := 0; u < n; u++ {
@@ -97,7 +97,7 @@ func runAppendixB(ctx context.Context, s Scale) *Report {
 					}
 				}
 			}
-			if eq.CheckBAE(gm, g).Stable {
+			if eq.Check(gm, g, eq.BAE).Stable {
 				baeChecked++
 				diam := float64(g.Diameter())
 				bound := 2*math.Sqrt(alpha.Float()) + 1
@@ -108,7 +108,7 @@ func runAppendixB(ctx context.Context, s Scale) *Report {
 					diamViolations++
 				}
 			}
-		})
+		}
 	}
 	r.addLinef("n=%d: %d RE states, %d BAE states over %d α values", n, reChecked, baeChecked, len(alphas))
 	r.addLinef("worst diameter/(2√α+1) ratio: %.3f", worstDiamRatio)

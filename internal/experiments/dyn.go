@@ -85,7 +85,7 @@ func runDynamics(ctx context.Context, s Scale) *Report {
 		r.addCheck("run", false, "%v", err)
 		return r
 	}
-	stable := eq.CheckBGE(gm, g).Stable
+	stable := eq.Check(gm, g, eq.BGE).Stable
 	r.addCheck("fixed point is BGE", tr.Converged && stable,
 		"converged=%v after %d steps, exact BGE=%v", tr.Converged, tr.Steps, stable)
 

@@ -37,7 +37,7 @@ func runF2CorboParkes(ctx context.Context, s Scale) *Report {
 	}
 	ne := eq.CheckUnilateralNE(gm, f2.G, o)
 	r.addCheck("unilateral NE", ne.Stable, "witness graph %s at α=2 (violator: %v)", f2.G, ne.Witness)
-	ps := eq.CheckPS(gm, f2.G)
+	ps := eq.Check(gm, f2.G, eq.PS)
 	r.addCheck("not PS in BNCG", !ps.Stable, "bilateral improving move: %v", ps.Witness)
 	if !ps.Stable {
 		if _, ok := ps.Witness.(move.Remove); ok {
@@ -55,12 +55,9 @@ func runF2CorboParkes(ctx context.Context, s Scale) *Report {
 		found := ""
 		for _, alpha := range latticeAlphas() {
 			gmN, _ := game.NewGame(n, alpha)
-			graph.Enumerate(n, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}, func(g *graph.Graph) {
-				if found != "" {
-					return
-				}
-				if eq.CheckRE(gmN, g).Stable {
-					return // need a bilateral removal violation
+			for g := range graph.All(n, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}) {
+				if eq.Check(gmN, g, eq.RE).Stable {
+					continue // need a bilateral removal violation
 				}
 				game.AllOwnerships(g, func(o *game.Ownership) {
 					if found != "" {
@@ -70,7 +67,10 @@ func runF2CorboParkes(ctx context.Context, s Scale) *Report {
 						found = "α=" + alpha.String() + " " + g.String()
 					}
 				})
-			})
+				if found != "" {
+					break
+				}
+			}
 			if found != "" {
 				break
 			}
@@ -97,9 +97,9 @@ func runF5BNEGap(ctx context.Context, s Scale) *Report {
 		return r
 	}
 	r.addLinef("gadget: n=%d, hub with two a–b–c–d arms and 100 leaves", g.N())
-	r.addCheck("RE", eq.CheckRE(gm, g).Stable, "tree, removals disconnect")
-	r.addCheck("BAE", eq.CheckBAE(gm, g).Stable, "no mutually improving addition")
-	r.addCheck("BSwE", eq.CheckBSwE(gm, g).Stable, "no mutually improving swap")
+	r.addCheck("RE", eq.Check(gm, g, eq.RE).Stable, "tree, removals disconnect")
+	r.addCheck("BAE", eq.Check(gm, g, eq.BAE).Stable, "no mutually improving addition")
+	r.addCheck("BSwE", eq.Check(gm, g, eq.BSwE).Stable, "no mutually improving swap")
 
 	// Single swap: the hub trades a–b1 for a–c1; c1 gains exactly 104 in
 	// distance, below α.
@@ -152,7 +152,7 @@ func runF62BSEGap(ctx context.Context, s Scale) *Report {
 	r.addLinef("agent distance costs: a=%d b=%d c=%d (paper: 19, 27, 19)", distA, distB, distC)
 	r.addCheck("paper distances", distA == 19 && distB == 27 && distC == 19,
 		"a=%d b=%d c=%d", distA, distB, distC)
-	r.addCheck("BNE", eq.CheckBNE(gm, g).Stable, "exhaustive neighborhood check, n=10")
+	r.addCheck("BNE", eq.Check(gm, g, eq.BNE).Stable, "exhaustive neighborhood check, n=10")
 	res := eq.CheckKBSE(gm, g, 2)
 	r.addCheck("not 2-BSE", !res.Stable, "improving 2-coalition: %v", res.Witness)
 	return r
@@ -221,7 +221,7 @@ func runF8AddGap(ctx context.Context, s Scale) *Report {
 		return r
 	}
 	r.addLinef("gadget (broom): %s at α=2", g)
-	r.addCheck("BAE", eq.CheckBAE(gm, g).Stable, "no pair improves jointly")
+	r.addCheck("BAE", eq.Check(gm, g, eq.BAE).Stable, "no pair improves jointly")
 	ae := eq.CheckUnilateralAE(gm, g)
 	r.addCheck("not unilateral AE", !ae.Stable, "solo buyer improves: %v", ae.Witness)
 
@@ -229,11 +229,11 @@ func runF8AddGap(ctx context.Context, s Scale) *Report {
 	violations := 0
 	for _, alpha := range latticeAlphas() {
 		gm5, _ := game.NewGame(5, alpha)
-		graph.Enumerate(5, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}, func(h *graph.Graph) {
-			if eq.CheckUnilateralAE(gm5, h).Stable && !eq.CheckBAE(gm5, h).Stable {
+		for h := range graph.All(5, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}) {
+			if eq.CheckUnilateralAE(gm5, h).Stable && !eq.Check(gm5, h, eq.BAE).Stable {
 				violations++
 			}
-		})
+		}
 	}
 	r.addCheck("AE implies BAE", violations == 0, "%d violations over the n=5 sweep", violations)
 	return r

@@ -193,7 +193,7 @@ func runL24Cycles(ctx context.Context, s Scale) *Report {
 		mid := game.AFrac(int64(math.Round((lo+hi)/2*4)), 4)
 		gmN, _ := game.NewGame(n, mid)
 		g := construct.Cycle(n)
-		ok := eq.CheckBGE(gmN, g).Stable
+		ok := eq.Check(gmN, g, eq.BGE).Stable
 		r.addCheck("large-cycle BGE inside window", ok, "C%d at α=%s", n, mid)
 	}
 	return r

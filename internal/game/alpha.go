@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/exact"
 )
 
 // Alpha is an exact non-negative rational edge price num/den.
@@ -75,16 +77,7 @@ func (a Alpha) Cmp(p, q int64) int {
 	if q <= 0 {
 		panic("game: Cmp with non-positive denominator")
 	}
-	lhs := a.num * q
-	rhs := p * a.Den()
-	switch {
-	case lhs < rhs:
-		return -1
-	case lhs > rhs:
-		return 1
-	default:
-		return 0
-	}
+	return exact.Cmp(a.num, q, p, a.Den())
 }
 
 // LessThanInt reports a < k.

@@ -3,6 +3,7 @@ package game
 import (
 	"fmt"
 
+	"repro/internal/exact"
 	"repro/internal/graph"
 )
 
@@ -18,14 +19,24 @@ type Cost struct {
 }
 
 // Less reports whether c is strictly cheaper than d under edge price alpha.
+// The comparison is exact for every alpha and every pair of non-negative
+// costs.
 func (c Cost) Less(d Cost, alpha Alpha) bool {
 	if c.Unreachable != d.Unreachable {
 		return c.Unreachable < d.Unreachable
 	}
-	// c < d  ⟺  num·cBuy + den·cDist < num·dBuy + den·dDist.
-	lhs := alpha.Num()*c.Buy + alpha.Den()*c.Dist
-	rhs := alpha.Num()*d.Buy + alpha.Den()*d.Dist
-	return lhs < rhs
+	// c < d  ⟺  num·(cBuy − dBuy) < den·(dDist − cDist); the differences of
+	// non-negative int64s fit, the products need 128 bits.
+	return exact.Less(alpha.Num(), c.Buy-d.Buy, alpha.Den(), d.Dist-c.Dist)
+}
+
+// Scale returns c with Buy multiplied by p and Dist by q. Under a price
+// multiplier p/q an agent's cost α·(p/q)·Buy + Dist orders like
+// α·(p·Buy) + q·Dist, so scaled costs compare at the global α — exactly,
+// with no product of α and the multiplier. Variant.Validate bounds p and q
+// so that scaled costs fit in int64.
+func (c Cost) Scale(p, q int64) Cost {
+	return Cost{Unreachable: c.Unreachable, Buy: c.Buy * p, Dist: c.Dist * q}
 }
 
 // Equal reports exact cost equality under alpha.

@@ -132,12 +132,12 @@ func TestOptIsOptimal(t *testing.T) {
 			gm, _ := NewGame(n, alpha)
 			opt := gm.OptCost().Value(alpha)
 			best := opt
-			graph.Enumerate(n, graph.EnumOptions{ConnectedOnly: true, MaxEdges: -1}, func(g *graph.Graph) {
+			for g := range graph.All(n, graph.EnumOptions{ConnectedOnly: true, MaxEdges: -1}) {
 				v := gm.SocialCost(g).Value(alpha)
 				if v < best {
 					best = v
 				}
-			})
+			}
 			if best < opt {
 				t.Fatalf("n=%d α=%s: found social cost %.3f below OPT %.3f", n, alpha, best, opt)
 			}

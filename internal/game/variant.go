@@ -2,6 +2,7 @@ package game
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -134,9 +135,13 @@ func (v Variant) MarshalJSON() ([]byte, error) {
 	return []byte(strconv.Quote(v.String())), nil
 }
 
-// Validate reports an error if the variant is not in canonical form or
-// references an agent outside [0, n). It is what the sweep, store and
-// server layers run on descriptors that crossed a trust boundary.
+// Validate reports an error if the variant is not in canonical form,
+// references an agent outside [0, n), or carries a multiplier whose
+// numerator or denominator exceeds ⌊(2⁶³−1)/n²⌋. An agent's buy count is
+// below n and her distance sum below n²/2, so that bound keeps costs scaled
+// by a multiplier (Cost.Scale) in int64, and the certificate breakpoints
+// formed from their differences below 2⁶². Validate is what the sweep,
+// store and server layers run on descriptors that crossed a trust boundary.
 func (v Variant) Validate(n int) error {
 	if v.Consent > ConsentUnilateral {
 		return fmt.Errorf("game: unknown consent mode %d", v.Consent)
@@ -153,6 +158,10 @@ func (v Variant) Validate(n int) error {
 		}
 		if p.Mul.Num() == 1 && p.Mul.Den() == 1 {
 			return fmt.Errorf("game: identity multiplier for agent %d is not canonical", p.Agent)
+		}
+		if m := math.MaxInt64 / (int64(n) * int64(n)); p.Mul.Num() > m || p.Mul.Den() > m {
+			return fmt.Errorf("game: price multiplier %s for agent %d has a term above %d, the bound on %d agents",
+				p.Mul, p.Agent, m, n)
 		}
 		if i > 0 && p.Agent <= v.Prices[i-1].Agent {
 			return fmt.Errorf("game: price multipliers not sorted by agent")
@@ -235,15 +244,12 @@ func (v Variant) MulFor(u int) (p, q int64) {
 	return 1, 1
 }
 
-// AlphaFor returns agent u's effective edge price α·mul(u), reduced.
-func (gm Game) AlphaFor(u int) Alpha {
-	p, q := gm.Variant.MulFor(u)
-	if p == 1 && q == 1 {
-		return gm.Alpha
+// LessFor reports whether c is strictly cheaper than d for agent u, at her
+// effective edge price α·mul(u): both costs are scaled by u's multiplier
+// and compared at the global α.
+func (gm Game) LessFor(u int, c, d Cost) bool {
+	if p, q := gm.Variant.MulFor(u); p != 1 || q != 1 {
+		c, d = c.Scale(p, q), d.Scale(p, q)
 	}
-	a, err := NewAlpha(gm.Alpha.Num()*p, gm.Alpha.Den()*q)
-	if err != nil {
-		panic(err) // unreachable: both factors are valid rationals
-	}
-	return a
+	return c.Less(d, gm.Alpha)
 }

@@ -1,6 +1,7 @@
 package game
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -90,7 +91,7 @@ func TestVariantValidate(t *testing.T) {
 	}
 }
 
-func TestMulForAndAlphaFor(t *testing.T) {
+func TestMulForAndLessFor(t *testing.T) {
 	v, err := ParseVariant("mul:1=3/2,mul:3=2")
 	if err != nil {
 		t.Fatal(err)
@@ -102,14 +103,42 @@ func TestMulForAndAlphaFor(t *testing.T) {
 	if p, q := v.MulFor(1); p != 3 || q != 2 {
 		t.Errorf("MulFor(1) = %d/%d, want 3/2", p, q)
 	}
-	if got, want := gm.AlphaFor(0), AFrac(4, 3); got != want {
-		t.Errorf("AlphaFor(0) = %s, want %s", got, want)
+	// Buying one edge to save dist ≥ price: the effective prices are
+	// 4/3 (agent 0), 4/3 · 3/2 = 2 (agent 1) and 4/3 · 2 = 8/3 (agent 3),
+	// and the purchase improves iff the saving exceeds the price.
+	before := Cost{Buy: 0, Dist: 10}
+	for _, tc := range []struct {
+		agent       int
+		saved       int64
+		wantImprove bool
+	}{
+		{0, 1, false}, {0, 2, true},
+		{1, 2, false}, {1, 3, true},
+		{3, 2, false}, {3, 3, true},
+	} {
+		after := Cost{Buy: 1, Dist: 10 - tc.saved}
+		if got := gm.LessFor(tc.agent, after, before); got != tc.wantImprove {
+			t.Errorf("agent %d saving %d: LessFor = %v, want %v", tc.agent, tc.saved, got, tc.wantImprove)
+		}
 	}
-	if got, want := gm.AlphaFor(1), A(2); got != want {
-		t.Errorf("AlphaFor(1) = %s, want %s (4/3 · 3/2)", got, want)
-	}
-	if got, want := gm.AlphaFor(3), AFrac(8, 3); got != want {
-		t.Errorf("AlphaFor(3) = %s, want %s", got, want)
+}
+
+// TestValidateBoundsMultipliers: a multiplier term above ⌊(2⁶³−1)/n²⌋
+// is rejected, so scaled costs cannot overflow.
+func TestValidateBoundsMultipliers(t *testing.T) {
+	const n = 6
+	bound := int64(math.MaxInt64 / (n * n))
+	for _, tc := range []struct {
+		mul  Alpha
+		want bool
+	}{
+		{A(bound), true}, {AFrac(1, bound), true},
+		{A(bound + 1), false}, {AFrac(1, bound+1), false}, {AFrac(bound+1, bound), false},
+	} {
+		v := Variant{Prices: []AgentPrice{{Agent: 0, Mul: tc.mul}}}
+		if err := v.Validate(n); (err == nil) != tc.want {
+			t.Errorf("mul %s on %d agents: Validate error %v, want ok=%v", tc.mul, n, err, tc.want)
+		}
 	}
 }
 

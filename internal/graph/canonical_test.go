@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"iter"
 	"math/rand"
 	"testing"
 )
@@ -47,46 +48,57 @@ func TestEnumerateCounts(t *testing.T) {
 	allCounts := map[int]int{1: 1, 2: 2, 3: 4, 4: 11, 5: 34}
 	connCounts := map[int]int{1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
 	for n := 1; n <= 5; n++ {
-		got := Enumerate(n, EnumOptions{UpToIso: true, MaxEdges: -1}, func(*Graph) {})
+		got := count(All(n, EnumOptions{UpToIso: true, MaxEdges: -1}))
 		if got != allCounts[n] {
-			t.Fatalf("Enumerate(%d, iso) = %d, want %d", n, got, allCounts[n])
+			t.Fatalf("All(%d, iso) = %d, want %d", n, got, allCounts[n])
 		}
-		got = Enumerate(n, EnumOptions{UpToIso: true, ConnectedOnly: true, MaxEdges: -1}, func(*Graph) {})
+		got = count(All(n, EnumOptions{UpToIso: true, ConnectedOnly: true, MaxEdges: -1}))
 		if got != connCounts[n] {
-			t.Fatalf("Enumerate(%d, conn iso) = %d, want %d", n, got, connCounts[n])
+			t.Fatalf("All(%d, conn iso) = %d, want %d", n, got, connCounts[n])
 		}
 	}
 }
 
 func TestEnumerateLabeled(t *testing.T) {
 	// 2^(4 choose 2) = 64 labeled graphs on 4 nodes.
-	got := Enumerate(4, EnumOptions{MaxEdges: -1}, func(*Graph) {})
+	got := count(All(4, EnumOptions{MaxEdges: -1}))
 	if got != 64 {
-		t.Fatalf("labeled Enumerate(4) = %d, want 64", got)
+		t.Fatalf("labeled All(4) = %d, want 64", got)
 	}
 	// Edge-count bounds: exactly the 3-edge graphs: C(6,3) = 20.
-	got = Enumerate(4, EnumOptions{MinEdges: 3, MaxEdges: 3}, func(g *Graph) {
+	got = 0
+	for g := range All(4, EnumOptions{MinEdges: 3, MaxEdges: 3}) {
 		if g.M() != 3 {
 			t.Fatalf("edge bound violated: %s", g)
 		}
-	})
+		got++
+	}
 	if got != 20 {
-		t.Fatalf("3-edge labeled Enumerate(4) = %d, want 20", got)
+		t.Fatalf("3-edge labeled All(4) = %d, want 20", got)
 	}
 }
 
 func TestEnumerateTreesMatchFreeTrees(t *testing.T) {
 	for n := 1; n <= 6; n++ {
 		viaEnum := 0
-		Enumerate(n, EnumOptions{UpToIso: true, ConnectedOnly: true, MinEdges: n - 1, MaxEdges: n - 1}, func(g *Graph) {
+		for g := range All(n, EnumOptions{UpToIso: true, ConnectedOnly: true, MinEdges: n - 1, MaxEdges: n - 1}) {
 			if !g.IsTree() {
 				t.Fatalf("connected n-1 edge graph is not a tree: %s", g)
 			}
 			viaEnum++
-		})
-		viaFree := FreeTrees(n, func(*Graph) {})
+		}
+		viaFree := count(AllFreeTrees(n))
 		if viaEnum != viaFree {
-			t.Fatalf("n=%d: Enumerate trees = %d, FreeTrees = %d", n, viaEnum, viaFree)
+			t.Fatalf("n=%d: All trees = %d, AllFreeTrees = %d", n, viaEnum, viaFree)
 		}
 	}
+}
+
+// count returns how many graphs an enumeration yields.
+func count(seq iter.Seq2[*Graph, string]) int {
+	n := 0
+	for range seq {
+		n++
+	}
+	return n
 }

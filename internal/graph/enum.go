@@ -121,27 +121,6 @@ func AllClasses(n int, opts EnumOptions) iter.Seq2[*Graph, Class] {
 	}
 }
 
-// Enumerate calls yield with graphs on n nodes matching opts, and returns
-// how many were yielded. It is the callback shim over All; new code should
-// range over All directly, which also supports early break.
-func Enumerate(n int, opts EnumOptions, yield func(*Graph)) int {
-	return EnumerateKeyed(n, opts, func(g *Graph, _ string) { yield(g) })
-}
-
-// EnumerateKeyed is Enumerate, additionally passing each yielded graph's
-// canonical key — computed once per isomorphism class — so canonical-form
-// caches downstream need not recompute it. When UpToIso is false no
-// canonical form is computed and the key argument is empty. It is the
-// callback shim over All.
-func EnumerateKeyed(n int, opts EnumOptions, yield func(*Graph, string)) int {
-	count := 0
-	for g, key := range All(n, opts) {
-		count++
-		yield(g, key)
-	}
-	return count
-}
-
 func allPairs(n int) []Edge {
 	pairs := make([]Edge, 0, n*(n-1)/2)
 	for u := 0; u < n; u++ {

@@ -2,31 +2,6 @@ package graph
 
 import "testing"
 
-// TestAllMatchesEnumerateKeyed: the iterator and the callback shim yield
-// the same graphs with the same keys in the same order.
-func TestAllMatchesEnumerateKeyed(t *testing.T) {
-	opts := EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}
-	var fromShim []string
-	n := EnumerateKeyed(5, opts, func(g *Graph, key string) {
-		fromShim = append(fromShim, key+" "+g.String())
-	})
-	var fromIter []string
-	for g, key := range All(5, opts) {
-		fromIter = append(fromIter, key+" "+g.String())
-	}
-	if n != len(fromShim) || n != 21 {
-		t.Fatalf("enumerated %d connected classes on 5 nodes, want 21", n)
-	}
-	if len(fromIter) != len(fromShim) {
-		t.Fatalf("iterator yielded %d graphs, shim %d", len(fromIter), len(fromShim))
-	}
-	for i := range fromShim {
-		if fromIter[i] != fromShim[i] {
-			t.Fatalf("position %d: iterator %q vs shim %q", i, fromIter[i], fromShim[i])
-		}
-	}
-}
-
 // TestAllEarlyBreakStopsEnumeration: breaking the range stops generation —
 // the loop body runs exactly as often as requested, and the break returns
 // (rather than exhausting the 2^15 labeled space first).
@@ -40,29 +15,6 @@ func TestAllEarlyBreakStopsEnumeration(t *testing.T) {
 	}
 	if bodies != 3 {
 		t.Fatalf("loop body ran %d times, want 3", bodies)
-	}
-}
-
-// TestAllFreeTreesMatchesKeyedShim: same check for the tree stream.
-func TestAllFreeTreesMatchesKeyedShim(t *testing.T) {
-	var fromShim []string
-	n := FreeTreesKeyed(7, func(g *Graph, key string) {
-		fromShim = append(fromShim, key+" "+g.String())
-	})
-	var fromIter []string
-	for g, key := range AllFreeTrees(7) {
-		fromIter = append(fromIter, key+" "+g.String())
-	}
-	if n != 11 {
-		t.Fatalf("enumerated %d free trees on 7 nodes, want 11", n)
-	}
-	if len(fromIter) != len(fromShim) {
-		t.Fatalf("iterator yielded %d trees, shim %d", len(fromIter), len(fromShim))
-	}
-	for i := range fromShim {
-		if fromIter[i] != fromShim[i] {
-			t.Fatalf("position %d: iterator %q vs shim %q", i, fromIter[i], fromShim[i])
-		}
 	}
 }
 

@@ -153,25 +153,6 @@ func AllFreeTreeClasses(n int) iter.Seq2[*Graph, Class] {
 	}
 }
 
-// FreeTrees calls yield with one representative of every isomorphism class
-// of trees on n nodes and returns how many were yielded. It is the callback
-// shim over AllFreeTrees; new code should range over AllFreeTrees directly,
-// which also supports early break.
-func FreeTrees(n int, yield func(*Graph)) int {
-	return FreeTreesKeyed(n, func(g *Graph, _ string) { yield(g) })
-}
-
-// FreeTreesKeyed is FreeTrees, additionally passing each tree's canonical
-// FreeTreeKey. It is the callback shim over AllFreeTrees.
-func FreeTreesKeyed(n int, yield func(*Graph, string)) int {
-	count := 0
-	for g, key := range AllFreeTrees(n) {
-		count++
-		yield(g, key)
-	}
-	return count
-}
-
 // rootedTrees generates the canonical level sequences of all rooted trees on
 // n nodes (Beyer–Hedetniemi successor rule) and calls f with each until f
 // returns false. The slice passed to f is reused.

@@ -98,26 +98,28 @@ func TestPruferRoundTripProperty(t *testing.T) {
 func TestFreeTreeCounts(t *testing.T) {
 	want := map[int]int{1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235}
 	for n := 1; n <= 11; n++ {
-		got := FreeTrees(n, func(g *Graph) {
+		got := 0
+		for g := range AllFreeTrees(n) {
 			if !g.IsTree() || g.N() != n {
-				t.Fatalf("FreeTrees(%d) yielded invalid tree %s", n, g)
+				t.Fatalf("AllFreeTrees(%d) yielded invalid tree %s", n, g)
 			}
-		})
+			got++
+		}
 		if got != want[n] {
-			t.Fatalf("FreeTrees(%d) = %d trees, want %d", n, got, want[n])
+			t.Fatalf("AllFreeTrees(%d) = %d trees, want %d", n, got, want[n])
 		}
 	}
 }
 
 func TestFreeTreesDistinct(t *testing.T) {
 	seen := make(map[string]bool)
-	FreeTrees(8, func(g *Graph) {
+	for g := range AllFreeTrees(8) {
 		key := FreeTreeKey(g)
 		if seen[key] {
 			t.Fatalf("duplicate tree yielded: %s", g)
 		}
 		seen[key] = true
-	})
+	}
 }
 
 func TestCenters(t *testing.T) {

@@ -175,14 +175,14 @@ func TreePoA(n int, alpha game.Alpha) (worst float64, stable int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	graph.FreeTrees(n, func(g *graph.Graph) {
+	for g := range graph.AllFreeTrees(n) {
 		if _, ok := ExistsNEOwnership(gm, g); !ok {
-			return
+			continue
 		}
 		stable++
 		if rho := gm.Rho(g); rho > worst {
 			worst = rho
 		}
-	})
+	}
 	return worst, stable, nil
 }

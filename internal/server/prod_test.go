@@ -71,6 +71,7 @@ func TestErrorSchemaEveryEndpoint(t *testing.T) {
 		{"check bad concept", "POST", "/v1/check?alpha=2&concept=ZZ", star, 400},
 		{"check malformed graph", "POST", "/v1/check?alpha=2", "not a graph", 400},
 		{"check graph over cap", "POST", "/v1/check?alpha=2", graph.Encode(game.Star(7)), 422},
+		{"check multiplier over bound", "POST", "/v1/check?alpha=2&variant=mul:0=1000000000000000000", star, 400},
 		{"simulate missing n", "GET", "/v1/simulate?alphas=1", "", 400},
 		{"simulate malformed n", "GET", "/v1/simulate?n=one&alphas=1", "", 400},
 		{"simulate n over cap", "GET", "/v1/simulate?n=501&alphas=1", "", 422},
@@ -104,6 +105,40 @@ func TestErrorSchemaEveryEndpoint(t *testing.T) {
 			}
 			parseErrorBody(t, resp.StatusCode, string(body))
 		})
+	}
+}
+
+// TestCheckExtremeAlphaWithMultiplier: a /v1/check miss at α = 2⁶²−1 with a
+// price multiplier must answer — a 200, or an error in the pinned schema —
+// and never panic the handler. P5 is stable there for every concept.
+func TestCheckExtremeAlphaWithMultiplier(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	p5 := graph.Encode(graph.MustFromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}}))
+	resp, err := http.Post(ts.URL+"/v1/check?alpha=4611686018427387903&variant=mul:0=3&witness=1",
+		"text/plain", strings.NewReader(p5))
+	if err != nil {
+		t.Fatalf("no reply (handler panicked?): %v", err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		parseErrorBody(t, resp.StatusCode, string(body))
+		return
+	}
+	var out struct {
+		Results []struct {
+			Concept string `json:"concept"`
+			Stable  bool   `json:"stable"`
+			Witness string `json:"witness"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil || len(out.Results) != 9 {
+		t.Fatalf("bad reply (%v): %s", err, body)
+	}
+	for _, r := range out.Results {
+		if !r.Stable {
+			t.Errorf("%s: unstable with witness %q", r.Concept, r.Witness)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/exact"
 )
 
 // Record is one persisted stability verdict: the canonical form of the
@@ -149,17 +151,7 @@ func (k CertKey) less(o CertKey) bool {
 const maxRat = 1 << 62
 
 // ratCmp compares a/b with c/d (positive denominators) exactly.
-func ratCmp(a, b, c, d int64) int {
-	lhs, rhs := a*d, c*b
-	switch {
-	case lhs < rhs:
-		return -1
-	case lhs > rhs:
-		return 1
-	default:
-		return 0
-	}
-}
+func ratCmp(a, b, c, d int64) int { return exact.Cmp(a, d, c, b) }
 
 // Validate reports whether r can be encoded AND decoded: a non-empty
 // canonical key that fits a frame, a non-zero concept, and non-empty,
@@ -237,18 +229,18 @@ func equalIntervals(a, b []Interval) bool {
 }
 
 // Contains reports whether the exact price num/den (den > 0) lies in the
-// certificate's stable set — pure int64 cross-multiplication, no floats.
+// certificate's stable set — exact cross-multiplication, no floats.
 func (r CertRecord) Contains(num, den int64) bool {
 	for _, iv := range r.Intervals {
 		// Below the lower bound?
-		lo := iv.LoNum*den - num*iv.LoDen // sign of Lo − α
+		lo := ratCmp(iv.LoNum, iv.LoDen, num, den) // sign of Lo − α
 		if lo > 0 || (lo == 0 && iv.LoOpen) {
 			continue
 		}
 		if iv.HiInf {
 			return true
 		}
-		hi := num*iv.HiDen - iv.HiNum*den // sign of α − Hi
+		hi := ratCmp(num, den, iv.HiNum, iv.HiDen) // sign of α − Hi
 		if hi < 0 || (hi == 0 && !iv.HiOpen) {
 			return true
 		}

@@ -22,9 +22,9 @@
 //     certificate cache instead of re-running coalition search — per-class
 //     equilibrium work is independent of the grid density. The cache can
 //     only reuse certificates, never change them; the differential tests
-//     pin cached and parallel sweeps to the sequential checkers bit for
-//     bit, and the certificate fuzz harness pins every certificate to the
-//     per-α checkers across a dense rational grid.
+//     pin cached and parallel sweeps to sequential eq.Check bit for bit,
+//     and the certificate fuzz harness pins every certificate to eq.Check
+//     across a dense rational grid.
 //
 // The enumeration feeding the grid is symmetry-pruned (graph.AllClasses):
 // non-minimal labelings are rejected by an early-aborting automorphism
@@ -521,7 +521,7 @@ func criticalOf(r *Result) []ConceptCritical {
 			alphas = append(alphas, a)
 		}
 		sort.Slice(alphas, func(i, j int) bool {
-			return alphas[i].Num()*alphas[j].Den() < alphas[j].Num()*alphas[i].Den()
+			return alphas[i].Cmp(alphas[j].Num(), alphas[j].Den()) < 0
 		})
 		out[ci] = ConceptCritical{Concept: concept, Alphas: alphas}
 	}
@@ -653,6 +653,8 @@ type region struct {
 // regionsOf splits [0, ∞) at the given sorted breakpoints into the
 // segments on which all verdicts are constant — including the breakpoints
 // themselves as singletons, where stable sets may be closed or degenerate.
+// Interior probes are mediants (a+c)/(b+d), which lie strictly between
+// a/b and c/d and stay in int64 for breakpoint terms up to 2⁶².
 func regionsOf(bps []game.Alpha) []region {
 	if len(bps) == 0 {
 		return []region{{label: "[0,∞)", probe: game.A(1)}}
@@ -662,7 +664,7 @@ func regionsOf(bps []game.Alpha) []region {
 	if first.Num() > 0 {
 		out = append(out, region{
 			label: fmt.Sprintf("[0,%s)", first),
-			probe: game.AFrac(first.Num(), 2*first.Den()),
+			probe: game.AFrac(first.Num(), first.Den()+1),
 		})
 	}
 	for i, bp := range bps {
@@ -671,7 +673,7 @@ func regionsOf(bps []game.Alpha) []region {
 			next := bps[i+1]
 			out = append(out, region{
 				label: fmt.Sprintf("(%s,%s)", bp, next),
-				probe: game.AFrac(bp.Num()*next.Den()+next.Num()*bp.Den(), 2*bp.Den()*next.Den()),
+				probe: game.AFrac(bp.Num()+next.Num(), bp.Den()+next.Den()),
 			})
 		}
 	}
