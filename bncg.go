@@ -388,7 +388,8 @@ type (
 	// Evaluator is a reusable equilibrium evaluator: BFS scratch, baseline
 	// costs and deviation-scan buffers persist across calls, so stability
 	// checks at sweep sizes allocate nothing. Not safe for concurrent use;
-	// give each goroutine its own.
+	// give each goroutine its own. The graphs it checks and certifies are
+	// only read, so goroutines may share them.
 	Evaluator = eq.Evaluator
 	// BFSScratch holds reusable traversal buffers for
 	// Graph.BFSScratchInto.

@@ -100,11 +100,16 @@
 //     their adjacency alongside the sorted neighbor lists. BFS frontiers
 //     advance word-at-a-time, edge queries are a single AND, and
 //     Graph.BFSScratchInto traverses with caller-owned scratch. The
-//     deviation scans mutate edges in place with per-Evaluator scratch
-//     buffers: a stable check at sweep sizes allocates nothing (a
-//     NewEvaluator can be bound to a state with Bind and queried per
-//     concept with CheckBound; Evaluator.Rho is the allocation-free
-//     social-cost ratio).
+//     deviation scans run on the Evaluator's own flat bitset adjacency,
+//     copied from the graph at Bind, and never write to the graph: a
+//     candidate edge is two XORs, subset scans step from one mask to the
+//     next by toggling only the changed edges, and distances come from
+//     the same BFS kernel (graph.BFSRows) that Graph itself runs. A
+//     stable check at sweep sizes allocates nothing (a NewEvaluator can
+//     be bound to a state with Bind and queried per concept with
+//     CheckBound; Evaluator.Rho is the allocation-free social-cost
+//     ratio), and goroutines with their own Evaluators may share one
+//     graph.
 //   - Enumeration is symmetry-pruned: AllGraphClasses and
 //     AllFreeTreeClasses yield one representative per isomorphism class —
 //     the same representative, in the same order, as ever — by rejecting

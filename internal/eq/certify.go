@@ -2,6 +2,7 @@ package eq
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/game"
 	"repro/internal/graph"
@@ -51,9 +52,9 @@ func (ev *Evaluator) Certify(gm game.Game, g *graph.Graph, c Concept) AlphaSet {
 }
 
 // CertifyBound certifies concept c on the state bound by the last Bind.
-// It must not be called before Bind. Every scan restores the graph before
-// returning, so CheckBound and CertifyBound can interleave freely on one
-// bound state.
+// It must not be called before Bind. Every scan restores the evaluator's
+// private adjacency before returning, so CheckBound and CertifyBound can
+// interleave freely on one bound state.
 func (ev *Evaluator) CertifyBound(c Concept) AlphaSet { return ev.c.certify(c) }
 
 // begin starts a scan toward a target: the single price gm.Alpha when
@@ -109,7 +110,7 @@ func (c *checker) scan(concept Concept) {
 	case ThreeBSE:
 		c.certKBSE(3)
 	case BSE:
-		c.certKBSE(c.g.N())
+		c.certKBSE(c.n)
 	default:
 		panic(fmt.Sprintf("eq: unknown concept %d", int(concept)))
 	}
@@ -171,13 +172,19 @@ func improvingIntervalOf(before, after game.Cost) (AlphaInterval, bool) {
 // plain checker fields rather than closures, so the per-deviation hot path
 // (run millions of times per sweep) allocates nothing:
 //
+//	c.toggle(u, v) ...                   // apply the deviation's edges
 //	c.devBegin()
 //	c.devActor(u) && c.devActor(v) ...   // false once the deviation fails
 //	done := c.devCommit()                // true once the target is covered
 //
-// done tells the scan to stop. A point scan is done at its first deviation
-// whose actors all improve at gm.Alpha, and only then builds the witness
-// move; an axis scan is done once the improving union covers [0, ∞).
+// The edges are toggled on the checker's private adjacency, never on the
+// bound graph, and every scan toggles them back before it returns. Scans
+// over subsets (BNE, coalitions) visit their masks in increasing order and
+// step from one mask to the next with flip, toggling only the changed
+// bits. done tells the scan to stop. A point scan is done at its first
+// deviation whose actors all improve at gm.Alpha, and only then builds the
+// witness move; an axis scan is done once the improving union covers
+// [0, ∞).
 
 // devBegin starts a new deviation with the whole axis as the running
 // intersection of the actors' improving intervals.
@@ -187,7 +194,7 @@ func (c *checker) devBegin() {
 }
 
 // devActor adds agent u as an actor of the current deviation, in the
-// current (mutated) graph. At a point target u must improve at gm.Alpha;
+// current (toggled) private adjacency. At a point target u must improve at gm.Alpha;
 // on the axis her improving interval narrows the running intersection.
 // It reports whether the deviation can still improve every actor so far —
 // the scans' per-deviation early exit.
@@ -251,18 +258,17 @@ func (c *checker) accumulate2(u, v int) bool {
 // lexicographic order — the Edges() order — with the smaller endpoint
 // tried as the remover first.
 func (c *checker) certRE() {
-	for u := 0; u < c.g.N() && !c.covered; u++ {
-		nb := c.snapshotNeighbors(u)
-		for _, v := range nb {
+	for u := 0; u < c.n && !c.covered; u++ {
+		for _, v := range c.snapshotNeighbors(u) {
 			if v < u {
 				continue
 			}
-			c.g.RemoveEdge(u, v)
+			c.toggle(u, v)
 			remover, done := u, c.accumulate1(u)
 			if !done {
 				remover, done = v, c.accumulate1(v)
 			}
-			c.g.AddEdge(u, v)
+			c.toggle(u, v)
 			if done {
 				if c.point {
 					c.witness = move.Remove{U: remover, V: u + v - remover}
@@ -277,24 +283,23 @@ func (c *checker) certRE() {
 // endpoints as actors, or — under unilateral consent — ordered
 // (buyer, target) pairs with the buyer as sole actor.
 func (c *checker) certBAE() {
-	n := c.g.N()
-	for u := 0; u < n && !c.covered; u++ {
+	for u := 0; u < c.n && !c.covered; u++ {
 		v := u + 1
 		if c.unilateral {
 			v = 0
 		}
-		for ; v < n; v++ {
-			if v == u || c.g.HasEdge(u, v) {
+		for ; v < c.n; v++ {
+			if v == u || c.has(u, v) {
 				continue
 			}
-			c.g.AddEdge(u, v)
+			c.toggle(u, v)
 			var done bool
 			if c.unilateral {
 				done = c.accumulate1(u)
 			} else {
 				done = c.accumulate2(u, v)
 			}
-			c.g.RemoveEdge(u, v)
+			c.toggle(u, v)
 			if done {
 				if c.point {
 					c.witness = move.Add{U: u, V: v}
@@ -308,30 +313,30 @@ func (c *checker) certBAE() {
 // certBSwE scans the edge swaps uv → uw: actors u and the new partner w,
 // or u alone under unilateral consent.
 func (c *checker) certBSwE() {
-	for u := 0; u < c.g.N() && !c.covered; u++ {
-		nb := c.snapshotNeighbors(u)
-		for _, v := range nb {
-			for w := 0; w < c.g.N(); w++ {
-				if w == u || w == v || c.g.HasEdge(u, w) {
+	for u := 0; u < c.n && !c.covered; u++ {
+		for _, v := range c.snapshotNeighbors(u) {
+			c.toggle(u, v)
+			for w := 0; w < c.n; w++ {
+				if w == u || w == v || c.has(u, w) {
 					continue
 				}
-				c.g.RemoveEdge(u, v)
-				c.g.AddEdge(u, w)
+				c.toggle(u, w)
 				var done bool
 				if c.unilateral {
 					done = c.accumulate1(u)
 				} else {
 					done = c.accumulate2(u, w)
 				}
-				c.g.RemoveEdge(u, w)
-				c.g.AddEdge(u, v)
+				c.toggle(u, w)
 				if done {
+					c.toggle(u, v)
 					if c.point {
 						c.witness = move.Swap{U: u, Old: v, New: w}
 					}
 					return
 				}
 			}
+			c.toggle(u, v)
 		}
 	}
 }
@@ -339,60 +344,50 @@ func (c *checker) certBSwE() {
 // certBNE scans every neighborhood change around each agent u: drop the
 // incident subset selected by rMask, connect to the non-neighbor subset
 // selected by aMask. The actors are u and — under bilateral consent —
-// every new partner. The search is exact over all 2^{deg(u)} ×
-// 2^{n-1-deg(u)} pairs per agent, intended for n up to roughly 16.
+// every new partner. The pairs are visited rMask-major, as the one mask
+// rMask<<len(nn) | aMask over the flips u–nn[0..], u–nb[0..]. The search
+// is exact over all 2^{deg(u)} × 2^{n-1-deg(u)} pairs per agent, intended
+// for n up to roughly 16.
 func (c *checker) certBNE() {
-	n := c.g.N()
-	for u := 0; u < n && !c.covered; u++ {
+	for u := 0; u < c.n && !c.covered; u++ {
 		nb := c.snapshotNeighbors(u)
 		nn := c.nnbuf[:0]
-		for v := 0; v < n; v++ {
-			if v != u && !c.g.HasEdge(u, v) {
+		flips := c.flips[:0]
+		for v := 0; v < c.n; v++ {
+			if v != u && !c.has(u, v) {
 				nn = append(nn, v)
+				flips = append(flips, graph.Edge{U: u, V: v})
 			}
 		}
-		c.nnbuf = nn
-		for rMask := 0; rMask < 1<<len(nb) && !c.covered; rMask++ {
-			for aMask := 0; aMask < 1<<len(nn); aMask++ {
-				if rMask == 0 && aMask == 0 {
-					continue
-				}
-				for i, v := range nb {
-					if rMask&(1<<i) != 0 {
-						c.g.RemoveEdge(u, v)
+		for _, v := range nb {
+			flips = append(flips, graph.Edge{U: u, V: v})
+		}
+		c.nnbuf, c.flips = nn, flips
+		if len(flips) > 62 {
+			panic("eq: neighborhood move space too large for an exact BNE scan")
+		}
+		adds := uint64(1)<<len(nn) - 1
+		var mask uint64 // the flips currently applied
+		done := false
+		for next := uint64(1); next < 1<<len(flips) && !done; next++ {
+			c.flip(flips, mask^next)
+			mask = next
+			c.devBegin()
+			if c.devActor(u) && !c.unilateral {
+				for a := mask & adds; a != 0; a &= a - 1 {
+					if !c.devActor(nn[bits.TrailingZeros64(a)]) {
+						break
 					}
-				}
-				for i, w := range nn {
-					if aMask&(1<<i) != 0 {
-						c.g.AddEdge(u, w)
-					}
-				}
-				c.devBegin()
-				if c.devActor(u) && !c.unilateral {
-					for i, w := range nn {
-						if aMask&(1<<i) != 0 && !c.devActor(w) {
-							break
-						}
-					}
-				}
-				done := c.devCommit()
-				for i, w := range nn {
-					if aMask&(1<<i) != 0 {
-						c.g.RemoveEdge(u, w)
-					}
-				}
-				for i, v := range nb {
-					if rMask&(1<<i) != 0 {
-						c.g.AddEdge(u, v)
-					}
-				}
-				if done {
-					if c.point {
-						c.witness = move.Neighborhood{U: u, RemoveTo: subsetOf(nb, rMask), AddTo: subsetOf(nn, aMask)}
-					}
-					return
 				}
 			}
+			done = c.devCommit()
+		}
+		c.flip(flips, mask)
+		if done {
+			if c.point {
+				c.witness = move.Neighborhood{U: u, RemoveTo: subsetOf(nb, mask>>len(nn)), AddTo: subsetOf(nn, mask&adds)}
+			}
+			return
 		}
 	}
 }
@@ -403,8 +398,8 @@ func (c *checker) certKBSE(k int) {
 	if k < 1 {
 		return
 	}
-	if k > c.g.N() {
-		k = c.g.N()
+	if k > c.n {
+		k = c.n
 	}
 	c.members = c.members[:0]
 	c.certCoalitions(0, k)
@@ -423,7 +418,7 @@ func (c *checker) certCoalitions(from, maxK int) {
 	if len(c.members) == maxK {
 		return
 	}
-	for v := from; v < c.g.N(); v++ {
+	for v := from; v < c.n; v++ {
 		c.members = append(c.members, v)
 		c.certCoalitions(v+1, maxK)
 		c.members = c.members[:len(c.members)-1]
@@ -436,90 +431,67 @@ func (c *checker) certCoalitions(from, maxK int) {
 // certCoalitionMoves enumerates every (removals, additions) pair legal for
 // the current coalition scratch. Removable: existing edges touching the
 // coalition, in canonical lexicographic (U<V) order. Addable: absent edges
-// inside the coalition, in member order.
+// inside the coalition, in member order. The pairs are visited
+// removals-major, as the one mask rMask<<len(addable) | aMask over the
+// flips addable ++ removable.
 func (c *checker) certCoalitionMoves() {
-	n := c.g.N()
+	n := c.n
 	if cap(c.inCoal) < n {
 		c.inCoal = make([]bool, n)
 	}
 	inCoal := c.inCoal[:n]
-	for i := range inCoal {
-		inCoal[i] = false
-	}
+	clear(inCoal)
 	for _, u := range c.members {
 		inCoal[u] = true
 	}
-	removable := c.removable[:0]
-	for u := 0; u < n; u++ {
-		for _, v := range c.g.Neighbors(u) {
-			if u < v && (inCoal[u] || inCoal[v]) {
-				removable = append(removable, graph.Edge{U: u, V: v})
-			}
-		}
-	}
-	addable := c.addable[:0]
+	flips := c.flips[:0]
 	for i := 0; i < len(c.members); i++ {
 		for j := i + 1; j < len(c.members); j++ {
-			if !c.g.HasEdge(c.members[i], c.members[j]) {
-				addable = append(addable, graph.Edge{U: c.members[i], V: c.members[j]})
+			if !c.has(c.members[i], c.members[j]) {
+				flips = append(flips, graph.Edge{U: c.members[i], V: c.members[j]})
 			}
 		}
 	}
-	c.removable, c.addable = removable, addable
-	if len(removable) > 30 || len(addable) > 30 {
+	nAdd := len(flips)
+	for u := 0; u < n; u++ {
+		for _, v := range c.snapshotNeighbors(u) {
+			if u < v && (inCoal[u] || inCoal[v]) {
+				flips = append(flips, graph.Edge{U: u, V: v})
+			}
+		}
+	}
+	c.flips = flips
+	if len(flips)-nAdd > 30 || nAdd > 30 {
 		// Guard against accidental astronomically large searches; the
 		// exact scan is documented for small instances only.
 		panic("eq: coalition move space too large for an exact k-BSE scan")
 	}
-	for rMask := 0; rMask < 1<<len(removable) && !c.covered; rMask++ {
-		for aMask := 0; aMask < 1<<len(addable); aMask++ {
-			if rMask == 0 && aMask == 0 {
-				continue
+	var mask uint64 // the flips currently applied
+	done := false
+	for next := uint64(1); next < 1<<len(flips) && !done; next++ {
+		c.flip(flips, mask^next)
+		mask = next
+		c.devBegin()
+		for _, u := range c.members {
+			if !c.devActor(u) {
+				break
 			}
-			for i, e := range removable {
-				if rMask&(1<<i) != 0 {
-					c.g.RemoveEdge(e.U, e.V)
-				}
-			}
-			for i, e := range addable {
-				if aMask&(1<<i) != 0 {
-					c.g.AddEdge(e.U, e.V)
-				}
-			}
-			c.devBegin()
-			for _, u := range c.members {
-				if !c.devActor(u) {
-					break
-				}
-			}
-			done := c.devCommit()
-			for i, e := range addable {
-				if aMask&(1<<i) != 0 {
-					c.g.RemoveEdge(e.U, e.V)
-				}
-			}
-			for i, e := range removable {
-				if rMask&(1<<i) != 0 {
-					c.g.AddEdge(e.U, e.V)
-				}
-			}
-			if done {
-				if c.point {
-					c.witness = move.Coalition{
-						Members:     append([]int(nil), c.members...),
-						RemoveEdges: subsetOf(removable, rMask),
-						AddEdges:    subsetOf(addable, aMask),
-					}
-				}
-				return
-			}
+		}
+		done = c.devCommit()
+	}
+	c.flip(flips, mask)
+	if done && c.point {
+		c.witness = move.Coalition{
+			Members:     append([]int(nil), c.members...),
+			RemoveEdges: subsetOf(flips[nAdd:], mask>>nAdd),
+			AddEdges:    subsetOf(flips[:nAdd], mask&(1<<nAdd-1)),
 		}
 	}
 }
 
 // subsetOf returns the elements of s selected by mask, or nil for the
 // empty mask.
-func subsetOf[T any](s []T, mask int) []T {
+func subsetOf[T any](s []T, mask uint64) []T {
 	if mask == 0 {
 		return nil
 	}

@@ -13,13 +13,19 @@
 // The package-level functions allocate fresh working buffers per call.
 // Hot loops that evaluate many states — notably the parallel sweep engine
 // in repro/internal/sweep — use an Evaluator instead, which reuses its BFS,
-// baseline-cost and scan buffers across calls. The scans explore moves by
-// mutating the graph in place and undoing, so neither an Evaluator nor a
-// Graph under evaluation may be shared between goroutines.
+// baseline-cost and scan buffers across calls. The deviation scans never
+// write to the graph they are given: binding a state copies its adjacency
+// into the checker's private bitset rows, and every candidate move is
+// explored by toggling edges there. Check, CheckKBSE, CheckMultiRemove and
+// Certify (and their Evaluator forms) therefore only read the Graph, and
+// any number of goroutines may evaluate one Graph, each with its own
+// Evaluator. Improving, CostDelta and CheckUnilateralRE apply moves to the
+// graph itself and restore it before returning.
 package eq
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/game"
 	"repro/internal/graph"
@@ -130,14 +136,15 @@ func CheckKBSE(gm game.Game, g *graph.Graph, k int) Result {
 // Evaluator is a reusable equilibrium evaluator: it keeps the BFS scratch,
 // the baseline-cost slice and the deviation-scan buffers alive between
 // calls, so sweeps over many states allocate nothing per stability check
-// (at sweep sizes) instead of re-allocating per state. The scans mutate
-// edges directly and only materialize a move.Move on the cold unstable
-// path, for the witness.
+// (at sweep sizes) instead of re-allocating per state. The scans toggle
+// edges on the evaluator's private copy of the bound adjacency and only
+// materialize a move.Move on the cold unstable path, for the witness.
 //
-// An Evaluator is deliberately not safe for concurrent use — and neither is
-// the Graph it evaluates, because the scans apply candidate moves in place
-// (always undoing them before returning). A parallel sweep therefore gives
-// each worker goroutine its own Evaluator and its own private Graph clone.
+// An Evaluator is deliberately not safe for concurrent use, but the Graph
+// it evaluates is only read by Check, CheckBound, Certify and CertifyBound,
+// so a parallel sweep gives each worker goroutine its own Evaluator over
+// the shared class graphs. Improving and ImprovingBound are the exception:
+// they apply one move.Move to the bound graph and revert it.
 type Evaluator struct {
 	c checker
 }
@@ -152,11 +159,12 @@ func (ev *Evaluator) Check(gm game.Game, g *graph.Graph, c Concept) Result {
 	return ev.c.check(c)
 }
 
-// Bind points the evaluator at a state and computes the baseline agent
-// costs once; subsequent CheckBound calls evaluate concepts against the
-// bound state without recomputing the baseline. Bind/CheckBound is the
-// sweep engine's path for checking several concepts per (graph, α) task:
-// every scan restores the graph before returning, so the baseline stays
+// Bind points the evaluator at a state: it copies g's adjacency into the
+// evaluator's private bitset rows and computes the baseline agent costs
+// once; subsequent CheckBound calls evaluate concepts against the bound
+// state without recomputing the baseline. Bind/CheckBound is the sweep
+// engine's path for checking several concepts per (graph, α) task: every
+// scan restores the private rows before returning, so the baseline stays
 // valid across the whole concept grid.
 func (ev *Evaluator) Bind(gm game.Game, g *graph.Graph) { ev.c.reset(gm, g) }
 
@@ -184,27 +192,33 @@ func (ev *Evaluator) Rho(gm game.Game, g *graph.Graph) float64 {
 	return gm.RhoOfCost(total)
 }
 
-// checker bundles the state of the deviation scans: the game, the graph
-// under test, the baseline agent costs, the BFS scratch, the scan buffers
-// and the scan's target. All buffers grow to the largest instance seen and
-// are then reused, so a long-lived checker (via Evaluator) performs zero
-// allocations per stable check at sweep sizes.
+// checker bundles the state of the deviation scans: the game, the bound
+// graph, the scans' private adjacency, the baseline agent costs, the BFS
+// scratch, the scan buffers and the scan's target. All buffers grow to the
+// largest instance seen and are then reused, so a long-lived checker (via
+// Evaluator) performs zero allocations per stable check at sweep sizes.
 type checker struct {
-	gm   game.Game
-	g    *graph.Graph
+	gm game.Game
+	// g is the bound graph. reset reads it to fill adj and the baseline;
+	// only tryMove, which applies one move.Move, touches it afterwards.
+	g *graph.Graph
+	// adj is the adjacency the scans explore: n flat rows of w uint64
+	// words, bit v of row u set iff uv is an edge (graph.BFSRows layout).
+	// A candidate move toggles its edges here, two XORs each.
+	n, w int
+	adj  []uint64
 	base []game.Cost
 	dist []int
 	bfs  graph.BFSScratch
-	// Scratch of the deviation scans. nbuf snapshots the neighbor list of
-	// the agent under scan (the scans mutate the graph while exploring
-	// moves); nnbuf its non-neighbors; members, inCoal, removable and
-	// addable carry the k-BSE coalition search.
-	nbuf      []int
-	nnbuf     []int
-	members   []int
-	inCoal    []bool
-	removable []graph.Edge
-	addable   []graph.Edge
+	// Scratch of the deviation scans. nbuf snapshots the neighbors of the
+	// agent under scan (the scans toggle edges while exploring moves);
+	// nnbuf its non-neighbors; flips the edges a mask scan selects from
+	// (see flip); members and inCoal carry the k-BSE coalition search.
+	nbuf    []int
+	nnbuf   []int
+	flips   []graph.Edge
+	members []int
+	inCoal  []bool
 	// Scan state (see certify.go). point selects the target: the single
 	// price gm.Alpha, or the whole α-axis. covered reports that the
 	// improving deviations found so far cover the target — the scans'
@@ -229,18 +243,25 @@ type checker struct {
 	qmul       []int64
 }
 
-// reset points the checker at a new state and recomputes the baseline agent
-// costs, growing the buffers only when the node count does.
+// reset points the checker at a new state: it copies g's adjacency into
+// the private rows and computes the baseline agent costs on g itself,
+// growing the buffers only when the node count does.
 func (c *checker) reset(gm game.Game, g *graph.Graph) {
 	c.gm = gm
 	c.g = g
 	n := g.N()
+	c.n, c.w = n, (n+63)/64
 	if cap(c.base) < n {
 		c.base = make([]game.Cost, n)
 		c.dist = make([]int, n)
 	}
 	c.base = c.base[:n]
 	c.dist = c.dist[:n]
+	if cap(c.adj) < n*c.w {
+		c.adj = make([]uint64, n*c.w)
+	}
+	c.adj = c.adj[:n*c.w]
+	clear(c.adj)
 	c.unilateral = gm.Variant.Consent == game.ConsentUnilateral
 	c.hetero = len(gm.Variant.Prices) > 0
 	if c.hetero {
@@ -255,27 +276,78 @@ func (c *checker) reset(gm game.Game, g *graph.Graph) {
 		}
 	}
 	for u := 0; u < n; u++ {
+		for _, v := range g.Neighbors(u) {
+			c.adj[u*c.w+v>>6] |= 1 << uint(v&63)
+		}
 		g.BFSScratchInto(u, c.dist, &c.bfs)
 		c.base[u] = gm.AgentCostFromDist(g, u, c.dist)
 	}
 }
 
-// snapshotNeighbors copies u's current neighbor list into the checker's
-// scratch. Scans iterate the copy because exploring a move mutates the
-// live list. The returned slice is invalidated by the next snapshot.
+// row returns u's row of the private adjacency.
+func (c *checker) row(u int) []uint64 { return c.adj[u*c.w : (u+1)*c.w] }
+
+// toggle flips the edge uv in the private adjacency: an absent edge is
+// added, a present one removed.
+func (c *checker) toggle(u, v int) {
+	c.adj[u*c.w+v>>6] ^= 1 << uint(v&63)
+	c.adj[v*c.w+u>>6] ^= 1 << uint(u&63)
+}
+
+// has reports whether uv is an edge of the private adjacency.
+func (c *checker) has(u, v int) bool { return c.adj[u*c.w+v>>6]&(1<<uint(v&63)) != 0 }
+
+// degree returns u's degree in the private adjacency.
+func (c *checker) degree(u int) int {
+	d := 0
+	for _, x := range c.row(u) {
+		d += bits.OnesCount64(x)
+	}
+	return d
+}
+
+// flip toggles every edge of flips that set selects (bit i selects
+// flips[i]). A mask scan visits masks in increasing order and steps from
+// mask−1 to mask with flip(flips, mask^(mask−1)) — the trailing run of
+// changed bits, two toggles per step on average — so bit i set in the
+// current mask means flips[i] is toggled away from the bound graph; after
+// the scan, flip(flips, mask) restores the bound adjacency.
+func (c *checker) flip(flips []graph.Edge, set uint64) {
+	for ; set != 0; set &= set - 1 {
+		e := flips[bits.TrailingZeros64(set)]
+		c.toggle(e.U, e.V)
+	}
+}
+
+// snapshotNeighbors lists u's current neighbors, in increasing order, into
+// the checker's scratch. The returned slice is invalidated by the next
+// snapshot.
 func (c *checker) snapshotNeighbors(u int) []int {
-	c.nbuf = append(c.nbuf[:0], c.g.Neighbors(u)...)
-	return c.nbuf
+	nb := c.nbuf[:0]
+	for wi, x := range c.row(u) {
+		for ; x != 0; x &= x - 1 {
+			nb = append(nb, wi<<6|bits.TrailingZeros64(x))
+		}
+	}
+	c.nbuf = nb
+	return nb
 }
 
 // costs returns agent u's baseline cost and her cost in the current
-// (possibly mutated) graph, both scaled by her price multiplier so that
-// they compare — and yield breakpoints — in the global α.
+// (possibly toggled) private adjacency, both scaled by her price
+// multiplier so that they compare — and yield breakpoints — in the global
+// α.
 func (c *checker) costs(u int) (before, after game.Cost) {
-	c.g.BFSScratchInto(u, c.dist, &c.bfs)
-	before, after = c.base[u], c.gm.AgentCostFromDist(c.g, u, c.dist)
+	graph.BFSRows(c.adj, c.w, u, c.dist, &c.bfs)
+	return c.scaled(u, c.gm.CostFromDist(c.degree(u), c.dist))
+}
+
+// scaled pairs agent u's baseline cost with after, both scaled by her
+// price multiplier.
+func (c *checker) scaled(u int, after game.Cost) (game.Cost, game.Cost) {
+	before := c.base[u]
 	if c.hetero {
-		before, after = before.Scale(c.pmul[u], c.qmul[u]), after.Scale(c.pmul[u], c.qmul[u])
+		return before.Scale(c.pmul[u], c.qmul[u]), after.Scale(c.pmul[u], c.qmul[u])
 	}
 	return before, after
 }
@@ -287,24 +359,23 @@ func (c *checker) improves(u int) bool {
 	return after.Less(before, c.gm.Alpha)
 }
 
-// allImprove reports whether every listed agent strictly improves over the
-// baseline in the current graph, with early exit.
-func (c *checker) allImprove(agents []int) bool {
-	for _, u := range agents {
-		if !c.improves(u) {
-			return false
-		}
-	}
-	return true
-}
-
-// tryMove applies m, evaluates whether all actors strictly improve, and
-// reverts the graph. Moves that do not fit the graph report false.
+// tryMove applies m to the bound graph, evaluates whether all actors
+// strictly improve, and reverts the graph. Moves that do not fit the graph
+// report false. It is the one evaluation on the caller's graph instead of
+// the private adjacency, because a move.Move applies to a *graph.Graph;
+// the baseline it compares against was computed on that same graph.
 func (c *checker) tryMove(m move.Move) bool {
 	undo, err := m.Apply(c.g)
 	if err != nil {
 		return false
 	}
 	defer undo()
-	return c.allImprove(m.Actors())
+	for _, u := range m.Actors() {
+		c.g.BFSScratchInto(u, c.dist, &c.bfs)
+		before, after := c.scaled(u, c.gm.AgentCostFromDist(c.g, u, c.dist))
+		if !after.Less(before, c.gm.Alpha) {
+			return false
+		}
+	}
+	return true
 }

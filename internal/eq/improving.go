@@ -7,8 +7,9 @@ import (
 )
 
 // Improving reports whether applying m to g strictly lowers the cost of
-// every actor of m. The graph is restored before returning. Moves that do
-// not fit the graph report false.
+// every actor of m. Unlike the scans it applies m to g itself, so g must
+// not be shared while it runs; the graph is restored before returning.
+// Moves that do not fit the graph report false.
 //
 // It applies the per-actor test of a point scan to one move; it is
 // exported so experiments can certify specific witness moves on instances

@@ -86,7 +86,7 @@ func CheckUnilateralNE(gm game.Game, g *graph.Graph, o *game.Ownership) Result {
 			}
 		}
 		for mask := 0; mask < 1<<len(targets); mask++ {
-			buy := subsetOf(targets, mask)
+			buy := subsetOf(targets, uint64(mask))
 			trial := base.Clone()
 			for _, v := range buy {
 				trial.AddEdge(u, v) // no-op if the other side already buys it
@@ -108,28 +108,29 @@ func CheckUnilateralNE(gm game.Game, g *graph.Graph, o *game.Ownership) Result {
 // CheckMultiRemove reports whether some agent improves by removing any
 // subset of her incident edges at once. Proposition A.2 (after Corbo and
 // Parkes) implies this is equivalent to CheckRE; the experiments verify
-// that equivalence. Like the bilateral scans, subsets are applied and
-// reverted in place, with a Neighborhood move built only as witness.
+// that equivalence. Like the bilateral scans, subsets are toggled on the
+// checker's private adjacency in mask order, with a Neighborhood move built
+// only as witness.
 func CheckMultiRemove(gm game.Game, g *graph.Graph) Result {
 	var c checker
 	c.reset(gm, g)
-	for u := 0; u < g.N(); u++ {
+	for u := 0; u < c.n; u++ {
 		nb := c.snapshotNeighbors(u)
-		for mask := 1; mask < 1<<len(nb); mask++ {
-			for i, v := range nb {
-				if mask&(1<<i) != 0 {
-					c.g.RemoveEdge(u, v)
-				}
-			}
-			imp := c.improves(u)
-			for i, v := range nb {
-				if mask&(1<<i) != 0 {
-					c.g.AddEdge(u, v)
-				}
-			}
-			if imp {
-				return unstable(move.Neighborhood{U: u, RemoveTo: subsetOf(nb, mask)})
-			}
+		flips := c.flips[:0]
+		for _, v := range nb {
+			flips = append(flips, graph.Edge{U: u, V: v})
+		}
+		c.flips = flips
+		var mask uint64 // the flips currently applied
+		imp := false
+		for next := uint64(1); next < 1<<len(flips) && !imp; next++ {
+			c.flip(flips, mask^next)
+			mask = next
+			imp = c.improves(u)
+		}
+		c.flip(flips, mask)
+		if imp {
+			return unstable(move.Neighborhood{U: u, RemoveTo: subsetOf(nb, mask)})
 		}
 	}
 	return stable()

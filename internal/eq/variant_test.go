@@ -10,18 +10,20 @@ import (
 )
 
 // referenceUnilateralAE is the historical direct implementation of
-// CheckUnilateralAE, preserved verbatim as the differential reference for
-// the variant-engine shim.
+// CheckUnilateralAE, kept as the differential reference for the
+// variant-engine shim. It adds each edge to g itself and prices the buyer
+// with Game.AgentCost, so it shares no adjacency or cost code with the
+// scans.
 func referenceUnilateralAE(gm game.Game, g *graph.Graph) Result {
-	var c checker
-	c.reset(game.Game{N: gm.N, Alpha: gm.Alpha}, g)
+	gm = game.Game{N: gm.N, Alpha: gm.Alpha}
 	for u := 0; u < g.N(); u++ {
+		before := gm.AgentCost(g, u)
 		for v := 0; v < g.N(); v++ {
 			if v == u || g.HasEdge(u, v) {
 				continue
 			}
 			g.AddEdge(u, v)
-			improves := c.improves(u)
+			improves := gm.AgentCost(g, u).Less(before, gm.Alpha)
 			g.RemoveEdge(u, v)
 			if improves {
 				return unstable(move.Add{U: u, V: v})

@@ -101,6 +101,12 @@ func (gm Game) AgentCost(g *graph.Graph, u int) Cost {
 // distance aggregate follows the game's variant: sum of finite distances
 // by default, maximum finite distance (eccentricity) under DistMax.
 func (gm Game) AgentCostFromDist(g *graph.Graph, u int, dist []int) Cost {
+	return gm.CostFromDist(g.Degree(u), dist)
+}
+
+// CostFromDist is AgentCostFromDist for callers that hold the adjacency
+// themselves: the agent's cost given her degree and her BFS distances.
+func (gm Game) CostFromDist(degree int, dist []int) Cost {
 	var (
 		agg         int64
 		unreachable int64
@@ -124,7 +130,7 @@ func (gm Game) AgentCostFromDist(g *graph.Graph, u int, dist []int) Cost {
 			agg += int64(d)
 		}
 	}
-	return Cost{Unreachable: unreachable, Buy: int64(g.Degree(u)), Dist: agg}
+	return Cost{Unreachable: unreachable, Buy: int64(degree), Dist: agg}
 }
 
 // SocialCost returns the sum of all agent costs: total buying cost

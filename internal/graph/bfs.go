@@ -36,7 +36,7 @@ func (g *Graph) BFS(src int) []int {
 // BFSScratchInto.
 func (g *Graph) BFSInto(src int, dist []int) {
 	if g.bits != nil && g.words == 1 {
-		g.bfsWord(src, dist)
+		BFSRows(g.bits, 1, src, dist, nil)
 		return
 	}
 	for i := range dist {

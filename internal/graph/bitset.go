@@ -14,19 +14,18 @@ const MaxBitsetNodes = 512
 // bitWords returns the number of 64-bit words per adjacency row.
 func bitWords(n int) int { return (n + 63) / 64 }
 
-// initBits allocates the bitset rows out of one flat backing array. Called
-// by the constructors; rows start all-zero (no edges).
+// initBits allocates the flat bitset rows. Called by the constructors;
+// rows start all-zero (no edges).
 func (g *Graph) initBits() {
 	if g.n == 0 || g.n > MaxBitsetNodes {
 		return
 	}
 	g.words = bitWords(g.n)
-	backing := make([]uint64, g.n*g.words)
-	g.bits = make([][]uint64, g.n)
-	for u := 0; u < g.n; u++ {
-		g.bits[u] = backing[u*g.words : (u+1)*g.words : (u+1)*g.words]
-	}
+	g.bits = make([]uint64, g.n*g.words)
 }
+
+// row returns node u's adjacency row, a view into the flat bitset.
+func (g *Graph) row(u int) []uint64 { return g.bits[u*g.words : (u+1)*g.words] }
 
 // HasBitset reports whether the graph maintains the dense bitset mirror
 // (true exactly when N() <= MaxBitsetNodes and N() > 0).
@@ -39,7 +38,7 @@ func (g *Graph) AdjacencyRow(u int) []uint64 {
 	if g.bits == nil {
 		return nil
 	}
-	return g.bits[u]
+	return g.row(u)
 }
 
 // BFSScratch holds the reusable buffers of BFSScratchInto, so hot loops
@@ -65,11 +64,7 @@ func growWords(s []uint64, w int) []uint64 {
 // the scratch has warmed up to the graph size.
 func (g *Graph) BFSScratchInto(src int, dist []int, s *BFSScratch) {
 	if g.bits != nil {
-		if g.words == 1 {
-			g.bfsWord(src, dist)
-			return
-		}
-		g.bfsWords(src, dist, s)
+		BFSRows(g.bits, g.words, src, dist, s)
 		return
 	}
 	// Neighbor-list fallback for graphs above MaxBitsetNodes, reusing the
@@ -95,47 +90,48 @@ func (g *Graph) BFSScratchInto(src int, dist []int, s *BFSScratch) {
 	}
 }
 
-// bfsWord runs the single-word BFS kernel (n <= 64): the frontier, the
-// visited set and every adjacency row are one uint64, so each level is a
-// handful of OR/ANDN word operations plus TrailingZeros64 iteration over the
-// newly reached nodes. It allocates nothing.
-func (g *Graph) bfsWord(src int, dist []int) {
+// BFSRows is the bitset BFS kernel, shared by Graph and by callers that
+// keep their own adjacency (the equilibrium scans). rows holds the
+// adjacency of a graph on len(dist) nodes as flat rows of w uint64 words:
+// row u is rows[u*w:(u+1)*w], with bit v set iff uv is an edge. It fills
+// dist with hop distances from src, Unreachable for other components, and
+// allocates nothing once s has warmed up to w words.
+//
+// With one word per row (n <= 64) the frontier, the visited set and every
+// row are a single uint64, so each level is a handful of OR/ANDN word
+// operations plus TrailingZeros64 iteration over the newly reached nodes,
+// and s is not touched (it may be nil). Wider rows keep their frontiers in
+// s.
+func BFSRows(rows []uint64, w, src int, dist []int, s *BFSScratch) {
 	for i := range dist {
 		dist[i] = Unreachable
 	}
 	dist[src] = 0
-	visited := uint64(1) << uint(src)
-	frontier := visited
-	d := 0
-	for frontier != 0 {
-		var next uint64
-		for f := frontier; f != 0; f &= f - 1 {
-			next |= g.bits[bits.TrailingZeros64(f)][0]
+	if w == 1 {
+		visited := uint64(1) << uint(src)
+		frontier := visited
+		d := 0
+		for frontier != 0 {
+			var next uint64
+			for f := frontier; f != 0; f &= f - 1 {
+				next |= rows[bits.TrailingZeros64(f)]
+			}
+			next &^= visited
+			d++
+			for t := next; t != 0; t &= t - 1 {
+				dist[bits.TrailingZeros64(t)] = d
+			}
+			visited |= next
+			frontier = next
 		}
-		next &^= visited
-		d++
-		for t := next; t != 0; t &= t - 1 {
-			dist[bits.TrailingZeros64(t)] = d
-		}
-		visited |= next
-		frontier = next
+		return
 	}
-}
-
-// bfsWords is the multi-word variant of bfsWord for 64 < n <=
-// MaxBitsetNodes, with frontiers in caller scratch.
-func (g *Graph) bfsWords(src int, dist []int, s *BFSScratch) {
-	w := g.words
 	s.frontier = growWords(s.frontier, w)
 	s.next = growWords(s.next, w)
 	s.visited = growWords(s.visited, w)
 	for i := 0; i < w; i++ {
 		s.frontier[i], s.visited[i] = 0, 0
 	}
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	dist[src] = 0
 	s.frontier[src>>6] = 1 << uint(src&63)
 	s.visited[src>>6] = s.frontier[src>>6]
 	d := 0
@@ -145,7 +141,8 @@ func (g *Graph) bfsWords(src int, dist []int, s *BFSScratch) {
 		}
 		for wi := 0; wi < w; wi++ {
 			for f := s.frontier[wi]; f != 0; f &= f - 1 {
-				row := g.bits[wi<<6|bits.TrailingZeros64(f)]
+				u := wi<<6 | bits.TrailingZeros64(f)
+				row := rows[u*w : (u+1)*w]
 				for i := 0; i < w; i++ {
 					s.next[i] |= row[i]
 				}
@@ -177,7 +174,7 @@ func (g *Graph) connectedWord() bool {
 	for {
 		next := reach
 		for f := reach; f != 0; f &= f - 1 {
-			next |= g.bits[bits.TrailingZeros64(f)][0]
+			next |= g.bits[bits.TrailingZeros64(f)]
 		}
 		if next == reach {
 			return bits.OnesCount64(reach) == g.n

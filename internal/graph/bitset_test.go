@@ -36,7 +36,7 @@ func TestBitsetMirrorsNeighborLists(t *testing.T) {
 		t.Helper()
 		for u := 0; u < g.n; u++ {
 			for v := 0; v < g.n; v++ {
-				inBits := g.bits[u][v>>6]&(1<<uint(v&63)) != 0
+				inBits := g.row(u)[v>>6]&(1<<uint(v&63)) != 0
 				inList := false
 				for _, w := range g.neigh[u] {
 					if w == v {

@@ -60,9 +60,10 @@ type Graph struct {
 	n     int
 	m     int
 	neigh [][]int
-	// bits[u] is u's adjacency row (bit v set iff uv is an edge); nil for
-	// n > MaxBitsetNodes. words is the row length in uint64 words.
-	bits  [][]uint64
+	// bits holds the adjacency rows flat, words uint64 words per row:
+	// bit v of row u (see row) is set iff uv is an edge. nil for
+	// n > MaxBitsetNodes.
+	bits  []uint64
 	words int
 }
 
@@ -114,7 +115,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 		return false
 	}
 	if g.bits != nil {
-		return g.bits[u][v>>6]&(1<<uint(v&63)) != 0
+		return g.bits[u*g.words+v>>6]&(1<<uint(v&63)) != 0
 	}
 	if len(g.neigh[u]) > len(g.neigh[v]) {
 		u, v = v, u
@@ -141,8 +142,8 @@ func (g *Graph) insertEdge(u, v int) {
 	g.neigh[u] = insertSorted(g.neigh[u], v)
 	g.neigh[v] = insertSorted(g.neigh[v], u)
 	if g.bits != nil {
-		g.bits[u][v>>6] |= 1 << uint(v&63)
-		g.bits[v][u>>6] |= 1 << uint(u&63)
+		g.bits[u*g.words+v>>6] |= 1 << uint(v&63)
+		g.bits[v*g.words+u>>6] |= 1 << uint(u&63)
 	}
 	g.m++
 }
@@ -165,8 +166,8 @@ func (g *Graph) RemoveEdge(u, v int) bool {
 	g.neigh[u] = removeSorted(g.neigh[u], v)
 	g.neigh[v] = removeSorted(g.neigh[v], u)
 	if g.bits != nil {
-		g.bits[u][v>>6] &^= 1 << uint(v&63)
-		g.bits[v][u>>6] &^= 1 << uint(u&63)
+		g.bits[u*g.words+v>>6] &^= 1 << uint(v&63)
+		g.bits[v*g.words+u>>6] &^= 1 << uint(u&63)
 	}
 	g.m--
 	return true
@@ -205,11 +206,7 @@ func (g *Graph) Clone() *Graph {
 		c.neigh[i] = append([]int(nil), g.neigh[i]...)
 	}
 	c.initBits()
-	if c.bits != nil {
-		for u := 0; u < g.n; u++ {
-			copy(c.bits[u], g.bits[u])
-		}
-	}
+	copy(c.bits, g.bits)
 	return c
 }
 

@@ -251,7 +251,7 @@ func (d *IncDist) addRepair(s, u, v int) {
 		x := int(q[head])
 		cand := row[x] + 1
 		if g.bits != nil {
-			for wi, w := range g.bits[x] {
+			for wi, w := range g.row(x) {
 				base := wi << 6
 				for ; w != 0; w &= w - 1 {
 					y := base + bits.TrailingZeros64(w)
@@ -280,7 +280,7 @@ func (d *IncDist) hasSupport(s, x int, lvl int32) bool {
 	row := d.rows[s]
 	g := d.g
 	if g.bits != nil {
-		for wi, w := range g.bits[x] {
+		for wi, w := range g.row(x) {
 			base := wi << 6
 			for ; w != 0; w &= w - 1 {
 				y := base + bits.TrailingZeros64(w)
@@ -361,7 +361,7 @@ phase1:
 			}
 			next := l + 1
 			if g.bits != nil {
-				for wi, wd := range g.bits[x] {
+				for wi, wd := range g.row(x) {
 					base := wi << 6
 					for ; wd != 0; wd &= wd - 1 {
 						y := base + bits.TrailingZeros64(wd)
@@ -416,7 +416,7 @@ phase1:
 		x := int(xi)
 		best := inf
 		if g.bits != nil {
-			for wi, wd := range g.bits[x] {
+			for wi, wd := range g.row(x) {
 				base := wi << 6
 				for ; wd != 0; wd &= wd - 1 {
 					y := base + bits.TrailingZeros64(wd)
@@ -453,7 +453,7 @@ phase1:
 			d.setDist(s, x, l)
 			cand := l + 1
 			if g.bits != nil {
-				for wi, wd := range g.bits[x] {
+				for wi, wd := range g.row(x) {
 					base := wi << 6
 					for ; wd != 0; wd &= wd - 1 {
 						y := base + bits.TrailingZeros64(wd)

@@ -830,8 +830,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		} else if stable, ok := s.cfg.Cache.Get(key); ok && !(wantWitness && !stable) {
 			v.Stable, v.FromCache = stable, true
 		} else {
-			// Checkers mutate the graph under test; evaluate a clone.
-			res := ev.Check(gm, g.Clone(), concept)
+			res := ev.Check(gm, g, concept)
 			v.Stable = res.Stable
 			if !res.Stable && res.Witness != nil {
 				v.Witness = fmt.Sprint(res.Witness)

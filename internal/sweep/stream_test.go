@@ -101,7 +101,13 @@ func TestRunCancelReturnsPromptlyWithoutLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := latticeOptions(5, 4, nil)
+	// The n=6 lattice: 112 classes × every concept, seconds of certify
+	// work. Workers check ctx only between classes, so a cancel issued
+	// after the first class completes lets at most the in-flight classes
+	// finish — far less than the work left in the grid. (At n=5 the whole
+	// grid certifies in tens of milliseconds and could finish before the
+	// cancel landed.)
+	opts := latticeOptions(6, 4, nil)
 	cancelled := false
 	opts.Progress = func(done, total int) {
 		// Cancel mid-flight, after a few tasks have completed.
@@ -115,9 +121,8 @@ func TestRunCancelReturnsPromptlyWithoutLeaks(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// "Promptly" = without finishing the grid: tasks here are sub-second, so
-	// the whole call must come back well before a full 5-node lattice sweep
-	// would (and the partial result must reflect the early stop).
+	// "Promptly" = without finishing the grid: the partial result must
+	// reflect the early stop.
 	if res == nil {
 		t.Fatal("cancelled Run returned nil result")
 	}

@@ -364,11 +364,12 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 						misses.Add(int64(nAlphas))
 						fromCache = false
 						if !bound {
-							// Certify on a private clone: the scans mutate
-							// the graph while exploring deviations. One Bind
-							// computes the (α-independent) baseline agent
-							// costs for the whole concept grid of the class.
-							ev.Bind(games[0], g.Clone())
+							// One Bind copies the class into the evaluator's
+							// private adjacency and computes the
+							// (α-independent) baseline agent costs for the
+							// whole concept grid; the shared graph is only
+							// read.
+							ev.Bind(games[0], g)
 							bound = true
 						}
 						var certT0 time.Time
