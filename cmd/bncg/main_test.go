@@ -351,21 +351,56 @@ func TestSweepStoreRunTwiceByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepResume: an interrupted store-backed sweep leaves a checkpoint;
-// `sweep -store … -resume` (fresh shared cache, grid restored from the
-// checkpoint) completes to the byte-identical report of an uninterrupted
-// run, and a completed sweep clears its checkpoint.
+// cancelAfterFirstCert is a context that cancels itself the first time
+// Err is polled after the shared sweep cache holds a certificate. The
+// sweep polls Err before every class and before reporting, so a run
+// under it is interrupted after its first certified class — by progress,
+// not by the clock — leaving at most one in-flight class per worker done.
+type cancelAfterFirstCert struct {
+	context.Context
+	cancel context.CancelFunc
+}
+
+func newCancelAfterFirstCert() *cancelAfterFirstCert {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &cancelAfterFirstCert{ctx, cancel}
+}
+
+func (c *cancelAfterFirstCert) Err() error {
+	if bncg.SharedSweepCache().Stats().Certificates > 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestSweepResume: an interrupted store-backed sweep leaves a checkpoint
+// of a partial grid; `sweep -store … -resume` (fresh shared cache, grid
+// restored from the checkpoint) completes to the byte-identical report of
+// an uninterrupted run, and a completed sweep clears its checkpoint.
 func TestSweepResume(t *testing.T) {
 	dir := t.TempDir()
 	bncg.ResetSharedSweepCache()
-	// Bound the first run so tightly it cannot finish the n=5 grid.
-	_, err := runCLICtx(t, context.Background(), "",
-		"-timeout", "40ms", "sweep", "-n", "5", "-concepts", "all", "-store", dir)
-	if err == nil {
-		t.Skip("grid finished inside the timeout; host too fast for an interrupt test")
-	}
-	if !strings.Contains(err.Error(), "interrupted") {
+	// Interrupt the first run as soon as it has certified a class; two
+	// workers can finish at most two of the n=5 grid's 21 classes.
+	_, err := runCLICtx(t, newCancelAfterFirstCert(), "",
+		"sweep", "-n", "5", "-concepts", "all", "-workers", "2", "-store", dir)
+	if err == nil || !strings.Contains(err.Error(), "interrupted") {
 		t.Fatalf("want an interrupted error, got: %v", err)
+	}
+	st, err := bncg.OpenStore(dir, bncg.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp bncg.SweepCheckpoint
+	ok, err := st.LoadCheckpoint(&cp)
+	if cerr := st.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok || cp.Completed == 0 || cp.Completed >= cp.Total {
+		t.Fatalf("want a checkpoint of a partial grid, got ok=%v at %d/%d tasks", ok, cp.Completed, cp.Total)
 	}
 
 	bncg.ResetSharedSweepCache()
