@@ -343,13 +343,17 @@
 //     differentially: a table test, a randomized toggle test, and
 //     FuzzIncrementalDistance compare every repaired row against fresh
 //     BFS after every toggle (CI smoke + nightly rotation).
-//   - internal/dynamics now probes candidates through the kernel: flip the
-//     edge, repair only the actors' rows, read costs from aggregates, flip
-//     back. Candidate scans reuse a persistent pair pool (zero allocations
-//     at steady state, pinned by test), and three schedulers pick the scan
-//     policy — uniform, round-robin, and a breakpoint-guided scheduler
-//     that commits the move whose improving α-interval (via eq.Certify's
-//     interval arithmetic) has maximal margin around the current price.
+//   - internal/dynamics now probes candidates through the kernel: open a
+//     kernel probe on the actors' rows (IncDist.Probe saves them), apply
+//     the move with only those rows repaired, read costs from aggregates,
+//     and IncDist.Rollback, which undoes the toggles on the graph and
+//     copies the saved rows back instead of running the inverse repair.
+//     A committed move repairs every row. Candidate scans reuse a
+//     persistent pair pool (zero allocations at steady state, pinned by
+//     test), and three schedulers pick the scan policy — uniform,
+//     round-robin, and a breakpoint-guided scheduler that commits the move
+//     whose improving α-interval (via eq.Certify's interval arithmetic)
+//     has maximal margin around the current price.
 //     The old evaluator path survives verbatim as Options.FullRecompute,
 //     the differential oracle and benchmark baseline: ~9× more ns/op and
 //     ~4000× more allocs/op at n=256 (BENCH_sim.json, gated ≥5× in CI).

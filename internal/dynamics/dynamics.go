@@ -72,6 +72,9 @@ type Trace struct {
 	Converged bool
 	// History records the applied moves in order.
 	History []move.Move
+	// Kernel is the incremental-distance kernel's repair/fallback split
+	// over the run, probes included. Zero under FullRecompute.
+	Kernel graph.IncStats
 }
 
 // Run mutates g by applying improving moves until convergence, the step
@@ -103,11 +106,13 @@ func Run(ctx context.Context, gm game.Game, g *graph.Graph, opts Options) (Trace
 	eng := newEngine(gm, g, opts)
 	for tr.Steps < maxSteps {
 		if err := ctx.Err(); err != nil {
+			tr.Kernel = eng.inc.Stats()
 			return tr, err
 		}
 		c, ok := eng.find(rng)
 		if !ok {
 			tr.Converged = true
+			tr.Kernel = eng.inc.Stats()
 			return tr, nil
 		}
 		tr.History = append(tr.History, eng.commit(c))
@@ -116,6 +121,7 @@ func Run(ctx context.Context, gm game.Game, g *graph.Graph, opts Options) (Trace
 	// One final scan decides whether we stopped exactly at a fixed point.
 	_, more := eng.find(rng)
 	tr.Converged = !more
+	tr.Kernel = eng.inc.Stats()
 	return tr, nil
 }
 
@@ -145,9 +151,9 @@ func runFullRecompute(ctx context.Context, gm game.Game, g *graph.Graph, opts Op
 }
 
 // findImproving scans the allowed move families in random order and
-// returns the first strictly improving move. The baseline costs are
-// computed once per scan (the state is fixed; every probe reverts it), not
-// once per candidate.
+// returns the first strictly improving move. The evaluator is bound once
+// per scan, not once per candidate: ImprovingBound applies each candidate
+// to g, evaluates it with fresh BFS, and undoes it before returning.
 func findImproving(ev *eq.Evaluator, gm game.Game, g *graph.Graph, rng *rand.Rand, opts Options) (move.Move, bool) {
 	candidates := collectMoves(g, opts)
 	rng.Shuffle(len(candidates), func(i, j int) {

@@ -63,10 +63,12 @@ type candidate struct {
 }
 
 // engine is the incremental-distance dynamics core. It owns the graph
-// through an IncDist kernel: a candidate probe flips the edge, repairs
-// only the actors' distance rows, reads their costs off the kernel's
-// aggregates, and flips it back — no evaluator re-bind, no fresh BFS.
-// The pair pool and scan permutation are allocated once per run.
+// through an IncDist kernel: a candidate probe opens a kernel probe on the
+// actors' rows, applies the move (only those rows are repaired), reads
+// their costs off the kernel's aggregates, and rolls back, which restores
+// the saved rows instead of repairing them again — no evaluator re-bind,
+// no fresh BFS. A committed move repairs every row. The pair pool and
+// scan permutation are allocated once per run.
 type engine struct {
 	gm    game.Game
 	g     *graph.Graph
@@ -142,43 +144,17 @@ func (e *engine) improves(a int, before game.Cost) bool {
 	return e.gm.LessFor(a, e.cost(a), before)
 }
 
-// apply performs the candidate's edge toggles, repairing either just the
-// actors' rows (probe) or every row (commit).
-func (e *engine) apply(c candidate, rows []int) {
+// apply performs the candidate's edge toggles. Inside a kernel probe only
+// the probed rows are repaired; otherwise (commit) every row is.
+func (e *engine) apply(c candidate) {
 	switch c.kind {
 	case RemoveKind:
-		if rows == nil {
-			e.inc.RemoveEdge(c.u, c.v)
-		} else {
-			e.inc.RemoveEdgePartial(c.u, c.v, rows)
-		}
+		e.inc.RemoveEdge(c.u, c.v)
 	case AddKind:
-		if rows == nil {
-			e.inc.AddEdge(c.u, c.v)
-		} else {
-			e.inc.AddEdgePartial(c.u, c.v, rows)
-		}
+		e.inc.AddEdge(c.u, c.v)
 	case SwapKind:
-		if rows == nil {
-			e.inc.RemoveEdge(c.u, c.v)
-			e.inc.AddEdge(c.u, c.w)
-		} else {
-			e.inc.RemoveEdgePartial(c.u, c.v, rows)
-			e.inc.AddEdgePartial(c.u, c.w, rows)
-		}
-	}
-}
-
-// revert undoes a partial apply with the same rows, in reverse order.
-func (e *engine) revert(c candidate, rows []int) {
-	switch c.kind {
-	case RemoveKind:
-		e.inc.AddEdgePartial(c.u, c.v, rows)
-	case AddKind:
-		e.inc.RemoveEdgePartial(c.u, c.v, rows)
-	case SwapKind:
-		e.inc.RemoveEdgePartial(c.u, c.w, rows)
-		e.inc.AddEdgePartial(c.u, c.v, rows)
+		e.inc.RemoveEdge(c.u, c.v)
+		e.inc.AddEdge(c.u, c.w)
 	}
 }
 
@@ -207,12 +183,13 @@ func (e *engine) probe(c candidate) bool {
 	if len(rows) == 2 {
 		b1 = e.cost(rows[1])
 	}
-	e.apply(c, rows)
+	e.inc.Probe(rows)
+	e.apply(c)
 	ok := e.improves(rows[0], b0)
 	if ok && len(rows) == 2 {
 		ok = e.improves(rows[1], b1)
 	}
-	e.revert(c, rows)
+	e.inc.Rollback()
 	return ok
 }
 
@@ -227,7 +204,8 @@ func (e *engine) probeMargin(c candidate) (float64, bool) {
 	if len(rows) == 2 {
 		b1 = e.cost(rows[1])
 	}
-	e.apply(c, rows)
+	e.inc.Probe(rows)
+	e.apply(c)
 	margin, ok := e.actorMargin(rows[0], b0)
 	if ok && len(rows) == 2 {
 		var m2 float64
@@ -235,7 +213,7 @@ func (e *engine) probeMargin(c candidate) (float64, bool) {
 			margin = m2
 		}
 	}
-	e.revert(c, rows)
+	e.inc.Rollback()
 	return margin, ok
 }
 
@@ -391,7 +369,7 @@ func (e *engine) findBreakpoint() (candidate, bool) {
 // commit applies c for real (every row repaired) and boxes it for the
 // history — the only move.Move allocation a step performs.
 func (e *engine) commit(c candidate) move.Move {
-	e.apply(c, nil)
+	e.apply(c)
 	switch c.kind {
 	case RemoveKind:
 		return move.Remove{U: c.u, V: c.v}

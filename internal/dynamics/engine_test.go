@@ -161,12 +161,12 @@ func TestFullRecomputeOracleAgrees(t *testing.T) {
 
 // TestScanZeroAllocs pins the allocation fix: a full candidate scan on a
 // converged state — the steady-state cost of every convergence check —
-// allocates nothing for the uniform and round-robin schedulers.
+// allocates nothing, for every scheduler.
 func TestScanZeroAllocs(t *testing.T) {
 	gm, _ := game.NewGame(16, game.A(2))
 	g := game.Star(16)
 	rng := rand.New(rand.NewSource(1))
-	for _, sched := range []Scheduler{SchedulerUniform, SchedulerRoundRobin} {
+	for _, sched := range []Scheduler{SchedulerUniform, SchedulerRoundRobin, SchedulerBreakpoint} {
 		eng := newEngine(gm, g, Options{Kinds: []Kind{RemoveKind, AddKind, SwapKind}, Scheduler: sched})
 		if _, ok := eng.find(rng); ok {
 			t.Fatal("star is not a fixed point?")
@@ -197,5 +197,31 @@ func TestHistoryPreallocated(t *testing.T) {
 	}
 	if cap(tr.History) < 640 { // min(10·n², 1024) for n=8
 		t.Fatalf("history capacity %d: not preallocated", cap(tr.History))
+	}
+}
+
+// TestTraceKernelStats: Run reports its distance kernel's repair/fallback
+// counters, probes included; the FullRecompute oracle has no kernel.
+func TestTraceKernelStats(t *testing.T) {
+	gm, _ := game.NewGame(20, game.A(2))
+	start, err := graph.RandomConnectedGraph(20, 30, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Kinds: []Kind{RemoveKind, AddKind}, Rng: rand.New(rand.NewSource(5))}
+	tr, err := Run(context.Background(), gm, start.Clone(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Kernel.Repairs == 0 {
+		t.Fatalf("kernel stats missing from the trace: %+v", tr.Kernel)
+	}
+	opts.FullRecompute = true
+	opts.Rng = rand.New(rand.NewSource(5))
+	if tr, err = Run(context.Background(), gm, start.Clone(), opts); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Kernel != (graph.IncStats{}) {
+		t.Fatalf("FullRecompute trace reports kernel stats %+v", tr.Kernel)
 	}
 }

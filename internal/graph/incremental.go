@@ -4,8 +4,8 @@ import "math/bits"
 
 // IncDist maintains all-pairs shortest-path distances of a Graph under
 // single edge toggles. It is the hot core of the large-n dynamics engine:
-// an improving-response probe flips one edge, reads a handful of agent
-// costs, and flips it back — recomputing n BFS trees per probe (what the
+// an improving-response probe toggles an edge or two, reads a handful of
+// agent costs, and is undone — recomputing n BFS trees per probe (what the
 // evaluator does) throws the bitset kernel's speed away. IncDist instead
 // repairs only the part of each BFS tree the toggle actually dirtied.
 //
@@ -33,11 +33,12 @@ import "math/bits"
 // to one fresh BFSScratchInto — bounded worst case, incremental common
 // case. Stats() reports the repair/fallback split.
 //
-// Partial updates (AddEdgePartial/RemoveEdgePartial) repair only a caller-
-// chosen subset of rows. This is the probe fast path: flip the edge, repair
-// the two actors' rows, read their costs, flip it back with the same row
-// set. While a partial update is outstanding every other row is stale; the
-// caller must invert it (same rows, reverse order) before touching them.
+// Probes. Probe(rows) opens a probe on at most two rows: it saves them and
+// their aggregates into a preallocated journal. While the probe is open,
+// AddEdge and RemoveEdge repair only those rows and record each toggle;
+// every other row is stale and must not be read. Rollback() undoes the
+// recorded toggles on the graph in reverse order and copies the saved rows
+// back, so undoing a probe costs two row copies, not an inverse repair.
 type IncDist struct {
 	g *Graph
 	n int
@@ -59,6 +60,16 @@ type IncDist struct {
 	affList  []int32   // affected vertices, discovery order
 	dscratch []int     // BFSScratchInto target for fallbacks
 	bfs      BFSScratch
+
+	// probe journal (Probe/Rollback)
+	all      []int // 0..n-1: the rows a toggle repairs outside a probe
+	active   []int // the rows the next toggle repairs: all, or the probed rows
+	probing  bool
+	probeBuf [2]int
+	saved    []int32  // 2×n: the probed rows as Probe found them, back to back
+	savedSum [2]int64 // their finite-distance sums
+	savedUn  [2]int32 // their unreachable counts
+	toggles  []Edge   // edges toggled while the probe is open, in order
 
 	stats IncStats
 }
@@ -92,8 +103,13 @@ func NewIncDist(g *Graph) *IncDist {
 		newd:      make([]int32, n),
 		affList:   make([]int32, 0, n),
 		dscratch:  make([]int, n),
+		all:       make([]int, n),
+		saved:     make([]int32, 2*n),
+		toggles:   make([]Edge, 0, 4),
 	}
+	d.active = d.all
 	for s := 0; s < n; s++ {
+		d.all[s] = s
 		d.rows[s] = d.back[s*n : (s+1)*n : (s+1)*n]
 		d.recomputeRow(s)
 	}
@@ -148,52 +164,78 @@ func (d *IncDist) SetThreshold(t int) {
 	d.threshold = t
 }
 
-// AddEdge inserts (u,v) and repairs every row. Reports whether the edge
-// was absent.
+// AddEdge inserts (u,v) and repairs every row, or only the probed rows
+// while a probe is open. Reports whether the edge was absent.
 func (d *IncDist) AddEdge(u, v int) bool {
 	if !d.g.AddEdge(u, v) {
 		return false
 	}
-	for s := 0; s < d.n; s++ {
+	d.journal(u, v)
+	for _, s := range d.active {
 		d.addRepair(s, u, v)
 	}
 	return true
 }
 
-// RemoveEdge deletes (u,v) and repairs every row. Reports whether the edge
-// was present.
+// RemoveEdge deletes (u,v) and repairs every row, or only the probed rows
+// while a probe is open. Reports whether the edge was present.
 func (d *IncDist) RemoveEdge(u, v int) bool {
 	if !d.g.RemoveEdge(u, v) {
 		return false
 	}
-	for s := 0; s < d.n; s++ {
+	d.journal(u, v)
+	for _, s := range d.active {
 		d.removeRepair(s, u, v)
 	}
 	return true
 }
 
-// AddEdgePartial inserts (u,v) but repairs only the given rows. All other
-// rows are stale until the caller inverts the toggle with the same rows.
-func (d *IncDist) AddEdgePartial(u, v int, rows []int) bool {
-	if !d.g.AddEdge(u, v) {
-		return false
+// journal records a toggle of (u,v) for Rollback while a probe is open.
+func (d *IncDist) journal(u, v int) {
+	if d.probing {
+		d.toggles = append(d.toggles, Edge{U: u, V: v})
 	}
-	for _, s := range rows {
-		d.addRepair(s, u, v)
-	}
-	return true
 }
 
-// RemoveEdgePartial deletes (u,v) but repairs only the given rows. See
-// AddEdgePartial for the staleness contract.
-func (d *IncDist) RemoveEdgePartial(u, v int, rows []int) bool {
-	if !d.g.RemoveEdge(u, v) {
-		return false
+// Probe opens a probe on rows: at most two, distinct. Until Rollback, edge
+// toggles repair only these rows, and only these rows may be read. It
+// panics if a probe is already open.
+func (d *IncDist) Probe(rows []int) {
+	if d.probing {
+		panic("graph: IncDist.Probe with a probe already open")
 	}
-	for _, s := range rows {
-		d.removeRepair(s, u, v)
+	if len(rows) > len(d.probeBuf) {
+		panic("graph: IncDist.Probe on more than two rows")
 	}
-	return true
+	d.active = d.probeBuf[:copy(d.probeBuf[:], rows)]
+	for i, s := range d.active {
+		copy(d.saved[i*d.n:(i+1)*d.n], d.rows[s])
+		d.savedSum[i], d.savedUn[i] = d.sum[s], d.unreach[s]
+	}
+	d.probing = true
+}
+
+// Rollback closes the open probe: it undoes the probe's edge toggles in
+// reverse order and restores the saved rows, leaving the graph and every
+// row exactly as Probe found them. It panics if no probe is open.
+func (d *IncDist) Rollback() {
+	if !d.probing {
+		panic("graph: IncDist.Rollback without an open probe")
+	}
+	for i := len(d.toggles) - 1; i >= 0; i-- {
+		// Toggling a journaled edge once more undoes that toggle.
+		e := d.toggles[i]
+		if !d.g.RemoveEdge(e.U, e.V) {
+			d.g.AddEdge(e.U, e.V)
+		}
+	}
+	d.toggles = d.toggles[:0]
+	for i, s := range d.active {
+		copy(d.rows[s], d.saved[i*d.n:(i+1)*d.n])
+		d.sum[s], d.unreach[s] = d.savedSum[i], d.savedUn[i]
+	}
+	d.active = d.all
+	d.probing = false
 }
 
 // recomputeRow refreshes row s and its aggregates with one fresh BFS.

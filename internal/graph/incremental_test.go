@@ -172,63 +172,127 @@ func TestIncDistRandomToggles(t *testing.T) {
 	}
 }
 
-// TestIncDistPartialProbe pins the probe discipline: a partial toggle
-// repairs exactly the requested rows, and inverting it with the same rows
-// restores the full state bit-for-bit.
-func TestIncDistPartialProbe(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	n := 20
-	g, err := RandomConnectedGraph(n, 30, rng)
-	if err != nil {
-		t.Fatal(err)
+// TestIncDistProbeRollback pins the probe journal. While a probe is open
+// the probed rows match a fresh BFS of the toggled graph; after Rollback
+// every row, aggregate and the graph encoding equal the pre-probe state.
+// Probes are add-, remove- and swap-shaped (a swap is two toggles in one
+// probe), plus an add and remove of one edge, on bitset graphs and on one graph above MaxBitsetNodes (the
+// neighbor-list path), at the default threshold and at 1, which forces
+// fallbacks inside the probe. Committed toggles between probes move the
+// base state.
+func TestIncDistProbeRollback(t *testing.T) {
+	type state struct {
+		rows []int32
+		sum  []int64
+		un   []int
+		enc  string
 	}
-	d := NewIncDist(g)
-	snapshot := func() []int32 {
-		out := make([]int32, 0, n*n)
+	take := func(d *IncDist) state {
+		n := d.N()
+		st := state{rows: make([]int32, 0, n*n), enc: Encode(d.Graph())}
 		for s := 0; s < n; s++ {
-			out = append(out, d.Row(s)...)
+			st.rows = append(st.rows, d.Row(s)...)
+			st.sum = append(st.sum, d.SumDist(s))
+			st.un = append(st.un, d.UnreachableFrom(s))
 		}
-		return out
+		return st
 	}
-	before := snapshot()
-	for i := 0; i < 200; i++ {
-		u := rng.Intn(n)
-		v := rng.Intn(n)
-		if u == v {
-			continue
-		}
-		rows := []int{u, v}
-		if g.HasEdge(u, v) {
-			if !d.RemoveEdgePartial(u, v, rows) {
-				t.Fatal("remove failed")
+	cases := []struct{ n, m, probes int }{
+		{12, 14, 300},
+		{40, 60, 200},
+		{MaxBitsetNodes + 8, 700, 24},
+	}
+	for _, threshold := range []int{0, 1} {
+		var probeFallbacks uint64
+		for _, tc := range cases {
+			n := tc.n
+			rng := rand.New(rand.NewSource(int64(n*10 + threshold)))
+			g, err := RandomGraph(n, tc.m, rng)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// The repaired rows must match a fresh BFS of the mutated graph.
+			d := NewIncDist(g)
+			d.SetThreshold(threshold)
+			base := take(d)
 			dist := make([]int, n)
 			var bfs BFSScratch
-			for _, s := range rows {
-				g.BFSScratchInto(s, dist, &bfs)
-				for x, dv := range dist {
-					if d.Dist(s, x) != dv {
-						t.Fatalf("probe remove (%d,%d): dist(%d,%d) = %d, want %d", u, v, s, x, d.Dist(s, x), dv)
+			for i := 0; i < tc.probes; i++ {
+				u, v := rng.Intn(n), rng.Intn(n)
+				if u == v {
+					continue
+				}
+				if i%10 == 9 {
+					// Commit: a full every-row repair moves the base state.
+					if g.HasEdge(u, v) {
+						d.RemoveEdge(u, v)
+					} else {
+						d.AddEdge(u, v)
+					}
+					if n <= 64 {
+						checkAgainstBFS(t, d, "commit after probes")
+					}
+					base = take(d)
+					continue
+				}
+				var rows []int
+				var shape string
+				fallbacks := d.Stats().Fallbacks
+				switch {
+				case g.HasEdge(u, v) && i%2 == 0:
+					shape, rows = "remove", []int{u}
+					d.Probe(rows)
+					d.RemoveEdge(u, v)
+				case g.HasEdge(u, v):
+					w := rng.Intn(n)
+					if w == u || g.HasEdge(u, w) {
+						continue
+					}
+					shape, rows = "swap", []int{u, w}
+					d.Probe(rows)
+					d.RemoveEdge(u, v)
+					d.AddEdge(u, w)
+				case i%3 == 0:
+					// The same edge toggled twice in one probe.
+					shape, rows = "add-remove", []int{u, v}
+					d.Probe(rows)
+					d.AddEdge(u, v)
+					d.RemoveEdge(u, v)
+				default:
+					shape, rows = "add", []int{u, v}
+					d.Probe(rows)
+					d.AddEdge(u, v)
+				}
+				for _, s := range rows {
+					g.BFSScratchInto(s, dist, &bfs)
+					for x, dx := range dist {
+						if got := d.Dist(s, x); got != dx {
+							t.Fatalf("n=%d threshold=%d probe %d (%s %d,%d): dist(%d,%d) = %d, want %d",
+								n, threshold, i, shape, u, v, s, x, got, dx)
+						}
+					}
+				}
+				probeFallbacks += d.Stats().Fallbacks - fallbacks
+				d.Rollback()
+				after := take(d)
+				if after.enc != base.enc {
+					t.Fatalf("n=%d threshold=%d probe %d (%s): graph not restored", n, threshold, i, shape)
+				}
+				for k := range after.rows {
+					if after.rows[k] != base.rows[k] {
+						t.Fatalf("n=%d threshold=%d probe %d (%s): dist(%d,%d) = %d after rollback, want %d",
+							n, threshold, i, shape, k/n, k%n, after.rows[k], base.rows[k])
+					}
+				}
+				for s := 0; s < n; s++ {
+					if after.sum[s] != base.sum[s] || after.un[s] != base.un[s] {
+						t.Fatalf("n=%d threshold=%d probe %d (%s): row %d aggregates (%d,%d) after rollback, want (%d,%d)",
+							n, threshold, i, shape, s, after.sum[s], after.un[s], base.sum[s], base.un[s])
 					}
 				}
 			}
-			if !d.AddEdgePartial(u, v, rows) {
-				t.Fatal("revert add failed")
-			}
-		} else {
-			if !d.AddEdgePartial(u, v, rows) {
-				t.Fatal("add failed")
-			}
-			if !d.RemoveEdgePartial(u, v, rows) {
-				t.Fatal("revert remove failed")
-			}
 		}
-		after := snapshot()
-		for k := range after {
-			if after[k] != before[k] {
-				t.Fatalf("probe %d corrupted state at flat index %d: %d vs %d", i, k, after[k], before[k])
-			}
+		if threshold == 1 && probeFallbacks == 0 {
+			t.Fatal("threshold=1 never fell back inside a probe")
 		}
 	}
 }

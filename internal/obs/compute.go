@@ -20,11 +20,13 @@ var trajectoryStepBuckets = []float64{
 }
 
 // ComputeMetrics bundles the compute-plane instruments exposed by the
-// `-metrics-addr` sidecar of `bncg worker` and `bncg sweep`: classes
-// certified, a certify-latency histogram, cache hit/miss/entry samples,
-// store flush bytes/failures, and lease epoch/deadline gauges. Recording
-// methods are nil-receiver safe so callers thread an optional
-// *ComputeMetrics exactly like an optional *Tracer.
+// `-metrics-addr` sidecar of `bncg worker`, `bncg sweep` and `bncg
+// simulate`: classes certified, a certify-latency histogram, cache
+// hit/miss/entry samples, store flush bytes/failures, lease epoch/deadline
+// gauges, and per-trajectory outcomes, steps, latency and distance-kernel
+// repair/fallback counts. Recording methods are nil-receiver safe so
+// callers thread an optional *ComputeMetrics exactly like an optional
+// *Tracer.
 type ComputeMetrics struct {
 	Registry *Registry
 
@@ -39,6 +41,8 @@ type ComputeMetrics struct {
 	trajectories    *CounterVec // by outcome: converged / maxsteps
 	trajectorySteps *Histogram
 	trajectorySecs  *Histogram
+	incRepairs      *Counter
+	incFallbacks    *Counter
 
 	leaseEpoch    atomic.Int64
 	leaseDeadline atomic.Int64 // UnixNano; 0 = no lease held
@@ -72,6 +76,10 @@ func NewComputeMetrics() *ComputeMetrics {
 		"Improving moves applied per finished trajectory.", trajectoryStepBuckets)
 	m.trajectorySecs = r.Histogram("bncg_sim_trajectory_duration_seconds",
 		"Wall-clock latency of one dynamics trajectory.", certifyBuckets)
+	m.incRepairs = r.Counter("bncg_incdist_repairs_total",
+		"Distance rows the dynamics kernel repaired incrementally after an edge toggle.")
+	m.incFallbacks = r.Counter("bncg_incdist_fallbacks_total",
+		"Distance rows the dynamics kernel recomputed by fresh BFS (repair over budget).")
 	r.GaugeFunc("bncg_lease_epoch",
 		"Epoch of the currently held lease (0 when idle).",
 		func() float64 { return float64(m.leaseEpoch.Load()) })
@@ -168,8 +176,8 @@ func (m *ComputeMetrics) CertifyObserved(d time.Duration) {
 }
 
 // TrajectoryObserved records one finished dynamics trajectory for the
-// simulation workload.
-func (m *ComputeMetrics) TrajectoryObserved(steps int, converged bool, d time.Duration) {
+// simulation workload, with its distance kernel's repair/fallback split.
+func (m *ComputeMetrics) TrajectoryObserved(steps int, converged bool, d time.Duration, repairs, fallbacks uint64) {
 	if m == nil {
 		return
 	}
@@ -180,6 +188,8 @@ func (m *ComputeMetrics) TrajectoryObserved(steps int, converged bool, d time.Du
 	m.trajectories.With(outcome).Inc()
 	m.trajectorySteps.Observe(float64(steps))
 	m.trajectorySecs.Observe(d.Seconds())
+	m.incRepairs.Add(int64(repairs))
+	m.incFallbacks.Add(int64(fallbacks))
 }
 
 // LeaseHeld publishes the held lease's epoch and deadline; stolen marks

@@ -193,6 +193,8 @@ func TestComputeMetricsExposition(t *testing.T) {
 	m.LeaseRenewed(time.Now().Add(30 * time.Second))
 	m.LeaseDone(false)
 	m.LeaseDone(true)
+	m.TrajectoryObserved(120, true, 40*time.Millisecond, 900, 12)
+	m.TrajectoryObserved(1000, false, 2*time.Second, 100, 3)
 	m.BindCacheStats(func() (int, int, int64, int64) { return 10, 4, 100, 7 })
 	m.BindStoreStats(func() (int64, int64, int64, int) { return 2048, 1, 4096, 3 })
 
@@ -218,6 +220,11 @@ func TestComputeMetricsExposition(t *testing.T) {
 		"bncg_store_flush_failures_total 1",
 		"bncg_store_disk_bytes 4096",
 		"bncg_store_pending_records 3",
+		"bncg_sim_trajectories_total{outcome=\"converged\"} 1",
+		"bncg_sim_trajectories_total{outcome=\"maxsteps\"} 1",
+		"bncg_sim_trajectory_steps_count 2",
+		"bncg_incdist_repairs_total 1000",
+		"bncg_incdist_fallbacks_total 15",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
@@ -230,6 +237,7 @@ func TestComputeMetricsExposition(t *testing.T) {
 	nilM.LeaseHeld(1, time.Time{}, false)
 	nilM.LeaseRenewed(time.Time{})
 	nilM.LeaseDone(false)
+	nilM.TrajectoryObserved(1, true, time.Second, 1, 1)
 	nilM.BindCacheStats(nil)
 	nilM.BindStoreStats(nil)
 }

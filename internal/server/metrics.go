@@ -118,6 +118,9 @@ func newMetricsRegistry(s *Server) *metricsRegistry {
 		reg.Custom("bncg_store_flush_failures_total",
 			"Failed store flushes; non-zero means durability is degraded.", "counter",
 			func(e *obs.Exposition) { e.SampleInt(s.cfg.Store.Stats().FlushFailures) })
+		reg.Custom("bncg_store_rejected_writes_total",
+			"Records the store refused to hold (invalid, conflicting, or store closed); they exist only in memory.", "counter",
+			func(e *obs.Exposition) { e.SampleInt(s.cfg.Store.Stats().RejectedWrites) })
 	}
 
 	// Replica state.

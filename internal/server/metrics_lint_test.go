@@ -53,6 +53,7 @@ func TestMetricsExpositionLints(t *testing.T) {
 		"bncg_http_requests_total{route=\"/v1/check\",code=\"200\"}",
 		"bncg_http_request_duration_seconds_bucket{route=\"/v1/check\",le=\"+Inf\"}",
 		"bncg_store_flush_failures_total 0",
+		"bncg_store_rejected_writes_total 0",
 		"bncg_uptime_seconds",
 	} {
 		if !strings.Contains(body, want) {

@@ -142,6 +142,66 @@ func TestCheckExtremeAlphaWithMultiplier(t *testing.T) {
 	}
 }
 
+// TestCheckOverRangeAlphaCountsRefusedWrites: a /v1/check miss at
+// α = (2⁶²+1)/1 answers exactly as the checker does, but the store refuses
+// its verdict records (a rational component above 2⁶²), so nothing is
+// persisted. The refusals must not vanish: the store's Stats and /metrics
+// count one per concept.
+func TestCheckOverRangeAlphaCountsRefusedWrites(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cache := sweep.NewCache()
+	cache.Persist(st)
+	defer cache.Persist(nil)
+	_, ts := newTestServer(t, Config{Cache: cache, Store: st})
+
+	const alphaText = "4611686018427387905" // 2⁶²+1
+	g := graph.MustFromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 0, V: 2}})
+	code, body := postCheck(t, ts.URL+"/v1/check?alpha="+alphaText, graph.Encode(g))
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	var out struct {
+		Results []struct {
+			Concept string `json:"concept"`
+			Stable  bool   `json:"stable"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal([]byte(body), &out); err != nil || len(out.Results) != len(eq.Concepts()) {
+		t.Fatalf("bad reply (%v): %s", err, body)
+	}
+	alpha, err := game.ParseAlpha(alphaText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gm, err := game.NewGame(g.N(), alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range eq.Concepts() {
+		if want := eq.Check(gm, g, c).Stable; out.Results[i].Concept != c.String() || out.Results[i].Stable != want {
+			t.Errorf("%s: reply %+v, checker says stable=%v", c, out.Results[i], want)
+		}
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rs := st.Stats()
+	if rs.Records != 0 {
+		t.Fatalf("store holds %d records for an α it cannot encode", rs.Records)
+	}
+	if rs.RejectedWrites != int64(len(eq.Concepts())) {
+		t.Fatalf("store RejectedWrites = %d, want %d", rs.RejectedWrites, len(eq.Concepts()))
+	}
+	_, mb := get(t, ts.URL+"/metrics")
+	if got := metricValue(t, mb, "bncg_store_rejected_writes_total"); got != float64(len(eq.Concepts())) {
+		t.Fatalf("bncg_store_rejected_writes_total = %v, want %d", got, len(eq.Concepts()))
+	}
+}
+
 // TestCheckDeadlineExceeded: a /v1/check that cannot finish inside
 // RequestTimeout answers 504 in the pinned schema.
 func TestCheckDeadlineExceeded(t *testing.T) {

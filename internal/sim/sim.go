@@ -404,7 +404,7 @@ func runOne(ctx context.Context, gm game.Game, opts Options, maxSteps, idx int) 
 	if err != nil {
 		return Trajectory{}, err
 	}
-	opts.Metrics.TrajectoryObserved(tr.Steps, tr.Converged, time.Since(start))
+	opts.Metrics.TrajectoryObserved(tr.Steps, tr.Converged, time.Since(start), tr.Kernel.Repairs, tr.Kernel.Fallbacks)
 
 	traj := Trajectory{
 		Index:      idx,

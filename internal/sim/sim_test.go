@@ -4,10 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/dynamics"
 	"repro/internal/game"
+	"repro/internal/obs"
 )
 
 func baseOpts(n int) Options {
@@ -48,6 +51,38 @@ func TestRunDeterministic(t *testing.T) {
 		if string(got) != string(want) {
 			t.Fatalf("run %d differs from run 0:\n%s\nvs\n%s", i+1, got, want)
 		}
+	}
+}
+
+// TestRunKernelMetrics: with a metrics bundle attached, every trajectory
+// adds its distance kernel's repairs and fallbacks to the incdist
+// counters, and the result is byte-identical to a run without metrics.
+func TestRunKernelMetrics(t *testing.T) {
+	opts := baseOpts(12)
+	plain, err := Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := obs.NewComputeMetrics()
+	opts.Metrics = m
+	metered, err := Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(plain)
+	if got, _ := json.Marshal(metered); string(got) != string(want) {
+		t.Fatalf("metrics changed the result:\n%s\nvs\n%s", got, want)
+	}
+	var b strings.Builder
+	m.Registry.WriteText(&b)
+	if err := obs.LintExposition(strings.NewReader(b.String())); err != nil {
+		t.Fatalf("exposition fails lint: %v", err)
+	}
+	if !regexp.MustCompile(`(?m)^bncg_incdist_repairs_total [1-9]`).MatchString(b.String()) {
+		t.Fatalf("no kernel repairs counted:\n%s", b.String())
+	}
+	if !regexp.MustCompile(`(?m)^bncg_incdist_fallbacks_total \d`).MatchString(b.String()) {
+		t.Fatalf("fallback counter missing:\n%s", b.String())
 	}
 }
 

@@ -143,6 +143,11 @@ type Stats struct {
 	// /healthz so the background flusher cannot fail silently.
 	FlushFailures  int64  `json:"flush_failures,omitempty"`
 	LastFlushError string `json:"last_flush_error,omitempty"`
+	// RejectedWrites counts Put/PutCert calls refused since Open: an
+	// invalid record (e.g. a rational component above 2⁶²), a conflicting
+	// one, a closed or read-only store, or a failed format bump. The store
+	// does not hold a refused record, not even in memory.
+	RejectedWrites int64 `json:"rejected_writes,omitempty"`
 }
 
 type segment struct {
@@ -489,25 +494,24 @@ func (s *Store) shardOf(canon string) *segment { return s.segs[s.shardIndex(cano
 // are pure functions of their key, so a conflict means a corrupted store
 // or a buggy writer, never legitimate data.
 func (s *Store) Put(rec Record) error {
-	if err := rec.Validate(); err != nil {
-		return err
-	}
+	err := rec.Validate()
 	s.mu.Lock()
+	if err != nil {
+		return s.refuseLocked(err)
+	}
 	if s.closed || s.opts.ReadOnly {
-		s.mu.Unlock()
-		return fmt.Errorf("store: Put on a closed or read-only store")
+		return s.refuseLocked(fmt.Errorf("store: Put on a closed or read-only store"))
 	}
 	if prev, ok := s.recs[rec.Key()]; ok {
-		s.mu.Unlock()
 		if prev != rec.Stable {
-			return fmt.Errorf("store: conflicting verdict for %v", rec.Key())
+			return s.refuseLocked(fmt.Errorf("store: conflicting verdict for %v", rec.Key()))
 		}
+		s.mu.Unlock()
 		return nil
 	}
 	if rec.Variant != "" {
 		if err := s.bumpMetaLocked(); err != nil {
-			s.mu.Unlock()
-			return err
+			return s.refuseLocked(err)
 		}
 	}
 	s.recs[rec.Key()] = rec.Stable
@@ -521,7 +525,15 @@ func (s *Store) Put(rec Record) error {
 		s.mu.Unlock()
 		return nil
 	}
-	err := s.flushLocked()
+	err = s.flushLocked()
+	s.mu.Unlock()
+	return err
+}
+
+// refuseLocked counts a write the store turned away, unlocks s and
+// returns err.
+func (s *Store) refuseLocked(err error) error {
+	s.stats.RejectedWrites++
 	s.mu.Unlock()
 	return err
 }
@@ -604,25 +616,24 @@ func countFrames(b []byte) int {
 // rejected — certificates are pure functions of their key, so a conflict
 // means a corrupted store or a buggy writer, never legitimate data.
 func (s *Store) PutCert(rec CertRecord) error {
-	if err := rec.Validate(); err != nil {
-		return err
-	}
+	err := rec.Validate()
 	s.mu.Lock()
+	if err != nil {
+		return s.refuseLocked(err)
+	}
 	if s.closed || s.opts.ReadOnly {
-		s.mu.Unlock()
-		return fmt.Errorf("store: PutCert on a closed or read-only store")
+		return s.refuseLocked(fmt.Errorf("store: PutCert on a closed or read-only store"))
 	}
 	if prev, ok := s.certs[rec.Key()]; ok {
-		s.mu.Unlock()
 		if !equalIntervals(prev, rec.Intervals) {
-			return fmt.Errorf("store: conflicting certificate for %v", rec.Key())
+			return s.refuseLocked(fmt.Errorf("store: conflicting certificate for %v", rec.Key()))
 		}
+		s.mu.Unlock()
 		return nil
 	}
 	if rec.Variant != "" {
 		if err := s.bumpMetaLocked(); err != nil {
-			s.mu.Unlock()
-			return err
+			return s.refuseLocked(err)
 		}
 	}
 	s.certs[rec.Key()] = rec.Intervals
@@ -636,7 +647,7 @@ func (s *Store) PutCert(rec CertRecord) error {
 		s.mu.Unlock()
 		return nil
 	}
-	err := s.flushLocked()
+	err = s.flushLocked()
 	s.mu.Unlock()
 	return err
 }

@@ -181,6 +181,50 @@ func TestStoreConflictRejected(t *testing.T) {
 	}
 }
 
+// TestStoreCountsRejectedWrites: every refused Put/PutCert is counted in
+// Stats — an out-of-range rational, a conflicting entry, a write after
+// Close — while accepted and idempotent writes are not.
+func TestStoreCountsRejectedWrites(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{})
+	rec := Record{Canon: "x", Num: 1, Den: 1, Concept: 1, Stable: true}
+	cert := CertRecord{Canon: "x", Concept: 1, Intervals: []Interval{{LoNum: 1, LoDen: 1, HiInf: true}}}
+	for _, err := range []error{s.Put(rec), s.Put(rec), s.PutCert(cert), s.PutCert(cert)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Stats().RejectedWrites; got != 0 {
+		t.Fatalf("RejectedWrites = %d after accepted writes, want 0", got)
+	}
+	big := rec
+	big.Canon, big.Num = "y", maxRat+1
+	conflict := rec
+	conflict.Stable = false
+	bigCert := cert
+	bigCert.Canon = "y"
+	bigCert.Intervals = []Interval{{LoNum: maxRat + 1, LoDen: 1, HiInf: true}}
+	for _, err := range []error{s.Put(big), s.Put(conflict), s.PutCert(bigCert)} {
+		if err == nil {
+			t.Fatal("refused write returned no error")
+		}
+	}
+	if got := s.Stats().RejectedWrites; got != 3 {
+		t.Fatalf("RejectedWrites = %d, want 3", got)
+	}
+	if got := s.Stats().Records; got != 2 {
+		t.Fatalf("Records = %d, want 2", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Put(Record{Canon: "z", Num: 1, Den: 1, Concept: 1}) == nil {
+		t.Fatal("Put on a closed store succeeded")
+	}
+	if got := s.Stats().RejectedWrites; got != 4 {
+		t.Fatalf("RejectedWrites = %d after a write to a closed store, want 4", got)
+	}
+}
+
 // TestStoreCompact: duplicate frames on disk (written behind the store's
 // back, as a crashed writer without warm-start could) are dropped by
 // Compact, and the surviving content is unchanged.

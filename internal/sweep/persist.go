@@ -93,9 +93,13 @@ func (c *Cache) Persist(st *store.Store) {
 		c.sink, c.sinkCert = nil, nil
 		return
 	}
-	// Put/PutCert can only fail on I/O or a conflicting entry; the cache
-	// has no error channel, so persistence degrades to best-effort and the
-	// authoritative copy stays in memory.
+	// Put/PutCert refuse records the store cannot hold — an α component
+	// above 2⁶² fails Record.Validate, and a conflicting entry, a closed
+	// store or a failed format bump are refused too; a failed flush keeps
+	// the record pending. The cache has no error channel, so persistence
+	// is best-effort and the authoritative copy stays in memory; the store
+	// counts refusals in Stats().RejectedWrites and flush errors in
+	// Stats().FlushFailures.
 	c.sink = func(k Key, stable bool) {
 		_ = st.Put(store.Record{
 			Canon:   k.Canon,
