@@ -136,15 +136,15 @@ func (c *commonFlags) startSidecar(subject string, metrics *bncg.ComputeMetrics)
 	return func() { sidecar.Close() }, nil
 }
 
-// bindStoreStats wires a store's flush counters onto a metrics bundle;
-// both sides are optional.
+// bindStoreStats wires a store's flush and refused-write counters onto a
+// metrics bundle; both sides are optional.
 func bindStoreStats(metrics *bncg.ComputeMetrics, st *bncg.VerdictStore) {
 	if metrics == nil || st == nil {
 		return
 	}
-	metrics.BindStoreStats(func() (int64, int64, int64, int) {
+	metrics.BindStoreStats(func() (int64, int64, int64, int64, int) {
 		s := st.Stats()
-		return s.FlushedBytes, s.FlushFailures, s.DiskBytes, s.Pending
+		return s.FlushedBytes, s.FlushFailures, s.RejectedWrites, s.DiskBytes, s.Pending
 	})
 }
 

@@ -4,29 +4,10 @@
 //
 // Agents are nodes of an undirected graph; an edge exists only if both
 // endpoints pay the edge price α for it. Each agent minimizes
-// α·(edges bought) + Σ_v dist(u, v). The library provides:
-//
-//   - exact, witness-producing equilibrium checkers for every solution
-//     concept of the paper: RE, BAE, PS, BSwE, BGE, BNE, k-BSE and BSE,
-//     plus the unilateral NCG's RE/AE/NE for the Section 2 comparisons;
-//   - exact rational cost arithmetic (no floating point in stability
-//     decisions) with the paper's disconnection semantics;
-//   - the lower-bound constructions: stretched binary trees, stretched
-//     tree stars, d-ary trees, cycles and the witness gadgets of
-//     Figures 2 and 5–8;
-//   - Price-of-Anarchy machinery: closed-form bounds of Sections 3.2–3.3
-//     and exhaustive worst-case search over all small trees and graphs;
-//   - a parallel sweep engine (RunSweep) that shards the isomorphism-free
-//     enumeration streams across a worker pool and memoizes stability
-//     verdicts in a canonical-form cache; the exhaustive experiments and
-//     the PoA searches run on it, and a differential test harness pins its
-//     vectors to the sequential checkers bit for bit (see EXPERIMENTS.md);
-//   - improving-response dynamics converging to PS/BGE states;
-//   - one experiment runner per table row and figure of the paper
-//     (package repro/internal/experiments, surfaced via Experiment);
-//   - a persistent verdict store (OpenStore) and an HTTP serving daemon
-//     (NewServer, `bncg serve`) that turn the sweep cache into a durable,
-//     network-served resource — see "The v3 API" below.
+// α·(edges bought) + Σ_v dist(u, v). The package re-exports the layers
+// below under one API; the `bncg` command (cmd/bncg) is their command-line
+// face. EXPERIMENTS.md holds the recorded results and file formats, and
+// CHANGES.md the history of how the system got here.
 //
 // # Quick start
 //
@@ -35,352 +16,146 @@
 //	res := bncg.Check(gm, star, bncg.PS)        // res.Stable == true
 //	rho := gm.Rho(star)                          // 1.0: the social optimum
 //
-// # The v2 API: contexts, iterators, streaming
+// Every long-running entry point (RunSweep, StreamSweep, WorstTree,
+// WorstGraph, Experiment, RunDynamics, SampleDynamics, Simulate) takes a
+// context.Context first. Cancellation is honored within one task (one
+// graph class, one improving move, one trajectory), workers drain without
+// leaking goroutines, and the partial result is returned with ctx.Err().
+// A nil context means context.Background().
 //
-// Every long-running entry point takes a context.Context as its first
-// argument: RunSweep, StreamSweep, WorstTree, WorstGraph, Experiment,
-// RunDynamics and SampleDynamics. The context contract is uniform:
+// # Graphs and the distance kernel (internal/graph)
 //
-//   - Cancellation is honored within one task granularity (one (α, graph)
-//     stability evaluation for sweeps and PoA searches, one improving move
-//     for dynamics). Workers drain without leaking goroutines.
-//   - On cancellation the partial result computed so far is returned
-//     together with ctx.Err(): a sweep's Result has Completed < len(Items)
-//     with the finished entries filled in, a PoAResult reduces the
-//     completed portion, a dynamics Trace holds the moves applied, and an
-//     Experiment report contains the rows produced before the cut.
-//   - A nil context is treated as context.Background().
+// A Graph stores sorted neighbor lists, O(n+m) memory, and graphs on up
+// to MaxBitsetNodes (512) nodes also keep a dense []uint64 bitset mirror
+// of the adjacency, updated by every edge mutation. The mirror gives O(1)
+// edge queries and the word-at-a-time BFS kernel BFSRows, which
+// Graph.BFSScratchInto runs with caller-owned scratch and without
+// allocating. Graph.BFS, and BFSInto and BFSScratchInto where the mirror
+// does not apply, share one neighbor-list queue BFS.
 //
-// Enumeration is iterator-first: AllGraphs and AllFreeTrees return
-// iter.Seq2[*Graph, string] (graph, canonical key) sequences supporting
-// early break, which stops the underlying generation immediately.
+// Enumeration is iterator-first. AllGraphs and AllFreeTrees yield
+// (graph, canonical key) pairs. AllGraphClasses and AllFreeTreeClasses
+// yield one representative per isomorphism class, the class member with
+// the minimal edge mask, with its orbit size n!/|Aut|: non-minimal
+// labelings are rejected by an early-aborting relabeling search rather
+// than canonicalized and deduplicated.
 //
-// Streaming: StreamSweep (or SweepOptions.OnItem under RunSweep) delivers
-// sweep items incrementally in exactly the deterministic α-major order of
-// SweepResult.Items — byte-identical at every worker count — while workers
-// keep computing ahead; SweepOptions.Progress reports completed/total task
-// counts. SweepResult and ExperimentReport marshal to stable JSON (exact
-// rational α strings, concept names, snake_case keys), which `bncg sweep
-// -json`, `bncg experiment -json` and `bncg poa -json` expose on the
-// command line.
+// IncDist maintains all-pairs distances under single edge toggles, with
+// per-source finite-distance sums and unreachable counts, so an agent's
+// cost reads in O(1). An added edge repairs each row with a pruned BFS
+// wave from the improved endpoint; a removed edge runs a Ramalingam–Reps
+// repair (level-ordered affected-set discovery, then a bucket-queue
+// unit-weight Dijkstra from the unaffected boundary). Both walk the sorted
+// neighbor lists. A removal whose affected set outgrows a threshold falls
+// back to one fresh BFS of that row, and IncDist.Stats counts repairs
+// against fallbacks. IncDist.Probe and IncDist.Rollback open a probe on at
+// most two rows and undo it by restoring the saved rows.
 //
-// # The v3 API: persistence and serving
+// # Games and equilibria (internal/game, internal/eq)
 //
-// Stability verdicts are pure functions of (canonical form, exact α,
-// concept), so the in-memory sweep cache extends naturally to disk and to
-// the network:
+// A Game couples an agent count, an exact rational price Alpha and a
+// GameVariant: consent mode (ConsentBilateral, ConsentUnilateral),
+// distance aggregate (DistSum, DistMax) and per-agent price multipliers.
+// The zero variant is the paper's game. ParseVariant and GameVariant.Key
+// are one textual grammar ("unilateral", "max", "mul:U=P/Q",
+// comma-joined), shared by every -variant flag and ?variant= parameter.
+// Costs are exact and lexicographic in the paper's disconnection
+// semantics, and every rational comparison goes through one 128-bit
+// cross-product (internal/exact), so any price ParseAlpha accepts
+// compares exactly.
 //
-//   - OpenStore opens an append-only, sharded, CRC-framed verdict store.
-//     SweepCache.WarmStart replays it into a cache at startup and
-//     SweepCache.Persist registers it as the cache's write-behind sink, so
-//     every verdict any sweep, PoA search or check computes becomes
-//     durable (fsync-batched) and pre-warms every later run — the ~121×
-//     warm-replay win across processes and machines. The store recovers
-//     from crashes by truncating torn segment tails; Compact rewrites
-//     segments dropping superseded frames.
-//   - `bncg sweep -store <dir>` wires all of that up on the command line
-//     and checkpoints grid progress (VerdictStore.SaveCheckpoint);
-//     `bncg sweep -store <dir> -resume` continues an interrupted grid from
-//     the checkpoint and finishes with byte-identical Items and Report.
-//   - NewServer / `bncg serve` expose the engine over HTTP: /v1/sweep
-//     streams items as NDJSON in the deterministic StreamSweep order,
-//     /v1/poa answers Price-of-Anarchy searches, /v1/check verdicts an
-//     uploaded graph, and /healthz reports cache (SweepCache.Stats),
-//     store and traffic statistics. Identical in-flight requests are
-//     deduplicated (singleflight); a request abandoned by every client is
-//     cancelled and its workers drain. Per-request deadlines and n caps
-//     ride on the v2 context plumbing.
+// Each solution concept (RE, BAE, PS, BSwE, BGE, BNE, k-BSE, BSE) has one
+// deviation scan, run toward one of two targets. Check targets the single
+// price of the game and stops at the first deviation improving all its
+// actors, the witness. Certify targets the whole α-axis: it collects each
+// deviation's improving interval and returns the exact stable set as an
+// AlphaSet, sorted disjoint rational intervals with exact Breakpoints.
+// An Evaluator keeps its own flat bitset adjacency, where a candidate
+// edge is two XORs, plus the scan buffers, so a check at sweep sizes
+// allocates nothing. The unilateral NCG of the related work is the
+// unilateral variant on the same engine (internal/ncg).
 //
-// # The v4 hot path: bitset kernel, symmetry pruning, benchmark gating
+// # Sweeps and the store (internal/sweep, internal/store)
 //
-// Everything the engine computes bottoms out in BFS distance sums and
-// deviation scans, so v4 rebuilt that layer:
+// RunSweep certifies every class of an enumeration once per concept on a
+// worker pool and answers the whole α-grid from the certificates, so
+// per-class work does not grow with grid density. Items are delivered in
+// a deterministic α-major order, byte-identical at every worker count;
+// StreamSweep and SweepOptions.OnItem stream them as they finish, and
+// SweepResult.Critical lists the exact prices at which each concept's
+// verdict flips (`bncg critical`). SweepCache memoizes certificates by
+// canonical form, concept and variant, and per-α verdicts for /v1/check
+// misses.
 //
-//   - Graphs up to 512 nodes maintain a dense []uint64 bitset mirror of
-//     their adjacency alongside the sorted neighbor lists. BFS frontiers
-//     advance word-at-a-time, edge queries are a single AND, and
-//     Graph.BFSScratchInto traverses with caller-owned scratch. The
-//     deviation scans run on the Evaluator's own flat bitset adjacency,
-//     copied from the graph at Bind, and never write to the graph: a
-//     candidate edge is two XORs, subset scans step from one mask to the
-//     next by toggling only the changed edges, and distances come from
-//     the same BFS kernel (graph.BFSRows) that Graph itself runs. A
-//     stable check at sweep sizes allocates nothing (a NewEvaluator can
-//     be bound to a state with Bind and queried per concept with
-//     CheckBound; Evaluator.Rho is the allocation-free social-cost
-//     ratio), and goroutines with their own Evaluators may share one
-//     graph.
-//   - Enumeration is symmetry-pruned: AllGraphClasses and
-//     AllFreeTreeClasses yield one representative per isomorphism class —
-//     the same representative, in the same order, as ever — by rejecting
-//     non-minimal labelings with an early-aborting automorphism search
-//     instead of canonicalizing and deduplicating every labeled graph,
-//     and report each class's orbit size n!/|Aut| (GraphClass).
-//   - The performance trajectory in BENCH_sweep.json (a JSON array of
-//     recorded `go test -bench` runs; see cmd/benchjson) is enforced by
-//     CI: `benchjson -compare old.json new.json -max-regress 25%` diffs
-//     the latest entries per benchmark and fails the build past the
-//     threshold, so ns/op and allocs/op regressions on the sweep and
-//     store hot paths cannot land silently.
+// OpenStore opens an append-only, sharded, CRC-framed store of those
+// records. SweepCache.WarmStart replays it at startup, SweepCache.Persist
+// makes it the cache's write-behind sink, torn tails left by a crash are
+// truncated on open, and Compact drops superseded frames. The store also
+// holds the resumable checkpoint of `bncg sweep -store -resume`.
+// Non-default variants persist as tagged frames; default-variant frames
+// keep the original layout. StoreStats counts refused writes.
 //
-// # The v5 engine: parametric α-interval certificates
+// # The serving daemon (internal/server)
 //
-// Every verdict in the paper's Table 1 is a threshold phenomenon: costs
-// compare by the α-linear form num·Buy + den·Dist, so each deviation
-// improves its actors on exactly one rational α-interval (breakpoint
-// α* = −ΔDist/ΔBuy), and a state's stable-α set is the complement of a
-// finite interval union. v5 computes that object directly:
+// NewServer and `bncg serve` put the cache and store behind HTTP:
+// /v1/sweep streams NDJSON with concurrent identical requests sharing one
+// computation, /v1/poa and /v1/critical answer searches, /v1/check
+// verdicts an uploaded graph from a cached certificate when it can,
+// /v1/simulate streams a dynamics batch, and /healthz and /metrics report
+// state. Admission control (per-client token buckets, a concurrency cap
+// with a bounded queue) sheds load with 429/503 before work starts, and
+// every failure shares the {"error", "status"} schema. `serve -readonly`
+// is a read replica that re-warms from a store another process writes.
+// cmd/loadgen drives the daemon for the HTTP benchmarks.
 //
-//   - Each concept has one deviation scan, run toward one of two targets.
-//     Check (and CheckBound, CheckKBSE) target the single price gm.Alpha:
-//     every actor is tested with the exact cost comparison, and the scan
-//     stops at the first deviation improving all its actors — the
-//     witness. Certify (and Evaluator.Certify/CertifyBound) target the
-//     whole axis: the scan collects each deviation's improving interval
-//     in exact rational arithmetic and returns an AlphaSet: sorted
-//     disjoint intervals over [0, ∞) with open/closed endpoints (stable
-//     sets are closed at breakpoints — indifference is stability — and
-//     may be degenerate single prices), an O(log B) Contains query, and
-//     exact Breakpoints. Either scan aborts once its improving deviations
-//     cover the target.
-//   - Every rational comparison — α against α, costs at α, certificate
-//     endpoints, persisted intervals — goes through one 128-bit
-//     cross-product comparison, so any price game.ParseAlpha accepts is
-//     compared exactly. Per-agent price multipliers scale the agent's
-//     costs rather than α, and Variant.Validate bounds them so the scaled
-//     costs fit in int64.
-//   - RunSweep is certificate-backed: the task unit is one graph class,
-//     one certificate per concept answers the entire α-grid, and
-//     per-class equilibrium work is independent of grid density
-//     (BenchmarkSweepGridScaling: a 64-point cold grid costs the same as
-//     a 4-point one). SweepResult gains Certs, Certified and Critical —
-//     the exact rational thresholds at which each concept's Table 1 row
-//     flips — rendered by Result.CriticalReport, `bncg sweep -exact`, the
-//     new `bncg critical` subcommand and the /v1/critical endpoint.
-//   - The verdict store persists certificate records alongside legacy
-//     per-α verdicts (one record per class and concept instead of one per
-//     grid point); WarmStart replays both — certificates warm the sweep
-//     engine, per-α verdicts warm /v1/check (sweeps over a pre-v5 store
-//     re-certify once, then run from certificates) — `store stats`
-//     reports counts per record type, and Compact folds verdict rows
-//     subsumed by a certificate. /v1/check answers any α — gridded or
-//     not — from a cached certificate.
-//   - FuzzCertificateAgreement pins Certify(...).Contains(α) to Check —
-//     interval arithmetic against the point comparison over the same
-//     enumeration — on a dense rational grid including every
-//     certificate's own breakpoints and their midpoints; an independent
-//     move-by-move reference enumeration pins the scan itself.
+// # The fleet (internal/fleet)
 //
-// # v6: the production-hardened daemon
+// The pruned class stream is deterministic, so a position range is a unit
+// of work (SweepOptions.ClassStart/ClassEnd). `bncg fleet` plans a grid
+// into ranges in a flock-guarded lease table; each range has an owner, a
+// heartbeat deadline and a fencing epoch, so a stolen lease's stale owner
+// fails with ErrFleetLeaseLost. `bncg worker` (RunFleetWorker) claims,
+// certifies into its own store shard, flushes, then completes. `bncg
+// store merge` folds the shards into one store, and `bncg store dump`
+// renders a store deterministically, so a merged fleet store diffs
+// byte-for-byte against a single-process sweep.
 //
-// bncg serve graduates from a demo front end to an operable service,
-// proven by an in-repo load-test harness:
+// # Observability (internal/obs)
 //
-//   - GET /metrics exposes hand-rolled Prometheus text exposition (no
-//     client dependency): per-route request counters by status code,
-//     per-route latency histograms (100µs–10s buckets), in-flight and
-//     queue gauges, admission rejections by reason, the cache hit ratio,
-//     singleflight and store statistics, and replica re-warm counters.
-//   - Admission control sheds load before work starts: per-client
-//     token-bucket rate limiting (-rate/-burst, keyed by remote IP), a
-//     global concurrent-request cap with a bounded FIFO queue
-//     (-max-inflight/-max-queue/-queue-wait). Over-budget clients get an
-//     immediate 429 with Retry-After, a full queue a fast 429, an expired
-//     queue wait a 503 — all in the pinned JSON error schema
-//     {"error": "...", "status": N} that every endpoint's every failure
-//     mode now shares. /healthz and /metrics bypass admission, so a
-//     saturated daemon stays observable.
-//   - bncg serve -readonly is a read replica: it opens the shared store
-//     directory without the single-writer flock, warm-starts, and
-//     re-warms on a ticker (-rewarm-interval) via Store.Refresh — an
-//     incremental decode of exactly the frames the writer flushed since
-//     the last pass, tolerating torn tails (retried next tick) and
-//     writer compactions (detected by segment shrink, full rebuild).
-//     Verdicts and certificates are pure functions of their keys, so
-//     replicas converge without any invalidation protocol; the replica
-//     answers byte-identically to the writer for every persisted
-//     (class, concept, α).
-//   - cmd/loadgen is a wrk-style HTTP driver (concurrency, duration or
-//     request budget, latency percentiles, JSON summaries) and
-//     BenchmarkServeCheck* measure the certified-cache /v1/check hot
-//     path end to end over HTTP; their trajectory lives in BENCH_http.json
-//     and is gated in CI next to the sweep benchmarks, after a loadgen
-//     smoke against the real booted daemon.
-//   - The store grew a fault-injection seam (Options.WrapSegmentWriter):
-//     failing write/sync paths drive the flush-failure accounting that
-//     /healthz surfaces as "degraded" — the daemon serves stale from
-//     memory and recovers losslessly once the fault heals.
+// Tracer writes deterministic NDJSON spans for the sweep, store and fleet
+// stages (`-trace`), and `bncg trace` (ReadTraceFiles, AnalyzeTrace)
+// breaks a run down by stage, slowest class and worker lane. A
+// hand-rolled Prometheus registry backs both the daemon's /metrics and
+// the ComputeMetrics sidecar (`-metrics-addr`, optional pprof) of sweep,
+// worker and simulate runs: classes, certify latency, cache and store
+// counters, lease state, trajectory outcomes and IncDist repairs and
+// fallbacks. LintExposition checks every exposition in tests. A nil
+// Tracer or ComputeMetrics is a valid disabled one.
 //
-// # v7: the distributed sweep fleet
+// # Dynamics and simulation (internal/dynamics, internal/sim)
 //
-// One process per grid stops scaling at n=7 (853 connected classes, nine
-// exponential-checker concepts), so v7 shards the sweep across processes:
+// RunDynamics applies improving moves (PS or BGE move sets) until no
+// candidate improves, the step bound, or cancellation. Candidates are
+// probed through IncDist: probe the actors' rows, apply the move, read
+// their costs from the row aggregates, roll back. A committed move
+// repairs every row. Three schedulers pick the scan order: uniform,
+// round-robin, and a breakpoint-guided one that commits the move whose
+// improving α-interval has the widest margin around the current price.
+// DynamicsOptions.FullRecompute keeps the evaluator-per-candidate path as
+// the differential oracle and benchmark baseline.
 //
-//   - The pruned class stream is deterministic, so a contiguous position
-//     range [start, end) is a well-defined unit of work:
-//     SweepOptions.ClassStart/ClassEnd restrict a sweep to one range and
-//     CountSweepClasses prices a grid without materializing it.
-//   - internal/fleet is lease-based coordination over a shared directory:
-//     PlanFleet cuts the stream into ranges and persists a lease table
-//     (fleet.json, flock-guarded atomic read-modify-write — the same
-//     discipline as the store's checkpoint). Each range carries owner,
-//     epoch and heartbeat deadline; ClaimFleetRange grants the first
-//     pending or expired range (stealing bumps the epoch, so a stalled
-//     owner's later heartbeat or completion fails with ErrFleetLeaseLost
-//     instead of corrupting a successor's work), and ReclaimFleet returns
-//     expired leases to the pool.
-//   - `bncg worker` (RunFleetWorker) loops claim → certify → flush own
-//     store shard → complete, heartbeating at TTL/3 in the background.
-//     The flush lands before the completion mark, so a done range is a
-//     durable range; a worker killed mid-lease costs only the TTL wait.
-//   - `bncg fleet` is the coordinator: plan once, then monitor and
-//     reclaim until done; `bncg store merge` folds the shards into one
-//     canonical store via VerdictStore.Ingest — certificates are pure
-//     functions of (class, concept), so overlap from reclaimed ranges
-//     folds as duplicates while any contradiction fails the merge loudly.
-//     `bncg store dump` renders a store in deterministic order, making
-//     "merged fleet ≡ single process" a byte-diff; CI runs that drill,
-//     plus a kill -9 variant, on every push.
-//   - The checkpoint schema is now versioned (SweepCheckpointVersion):
-//     the lease table embeds the grid spec as a Checkpoint, legacy
-//     unversioned checkpoints still resume, and future generations are
-//     rejected instead of misread.
+// Simulate runs trajectories across an α grid from seeded random initial
+// states (connected Erdős–Rényi graphs, uniform random trees, stars).
+// Per-trajectory seeds derive from the base seed and grid coordinates, so
+// the report is a pure function of the options at any worker count. Per-α
+// summaries aggregate convergence steps, final topologies and ρ against
+// the social optimum. `bncg simulate` and GET /v1/simulate are its faces.
 //
-// # v8: compute-plane observability
+// # Experiments
 //
-// The fleet made "where does the time go?" a distributed question, so v8
-// adds internal/obs, a zero-dependency observability layer threaded
-// through the whole compute plane:
-//
-//   - Span tracing: Tracer appends NDJSON frames (one header, then spans
-//     and events) with a deterministic schema — hand-built field order,
-//     sorted attribute keys, microsecond timestamps — so a fixed-seed
-//     single-worker sweep replays byte-identically (pinned by test). The
-//     sweep engine records enumerate/class/certify/cache_write spans, the
-//     store records flush/checkpoint/compact, and the fleet worker records
-//     warmstart/claim/wait/range/complete plus heartbeats and steal
-//     events. `-trace <file>` on sweep, worker, and fleet turns it on;
-//     a nil Tracer costs one pointer check per class (the attr maps are
-//     only built when a frame will be written — gated in BENCH_sweep.json).
-//   - `bncg trace` reads one or more trace files (shards merge by source)
-//     under a strict parser — unknown fields, missing attrs, and bad
-//     frames are loud per-line errors, which is what the nightly schema
-//     gate relies on — and reports inclusive stage totals, the top-K
-//     slowest classes with per-concept certify durations, and a
-//     per-worker timeline whose lanes are union-of-intervals busy time
-//     with steals marked; `-json` emits the full TraceReport.
-//   - Worker metrics: the hand-rolled Prometheus registry moved out of
-//     internal/server into obs (counters, labeled vectors, gauges,
-//     histograms; text exposition 0.0.4), and ComputeMetrics instruments
-//     the sweep/fleet plane: classes certified and cached, certify
-//     latency histogram, cache hits/misses, store flush bytes/failures,
-//     and live lease epoch/deadline gauges. `bncg sweep` and
-//     `bncg worker` serve the same exposition on a `-metrics-addr`
-//     sidecar; `-pprof` mounts net/http/pprof there, and on the serve
-//     daemon (where profiler routes pass through admission like any
-//     other). LintExposition validates every HELP/TYPE/sample line —
-//     name charsets, type consistency, histogram bucket monotonicity and
-//     cumulativity — and both the server's /metrics and the compute
-//     exposition must pass it in tests.
-//   - `bncg fleet status` is a read-only, lock-free snapshot of the lease
-//     table (pending/leased/done per range, owners, deadlines, reclaim
-//     counts) safe to run against a live fleet directory, with `-json`.
-//
-// # v9: one certificate engine, many games
-//
-// Every layer below assumed the paper's exact rules: bilateral consent,
-// SUM distances, one price for everyone. v9 turns those rules into data.
-// GameVariant is a value descriptor — consent mode
-// (ConsentBilateral/ConsentUnilateral), distance aggregate
-// (DistSum/DistMax), and per-agent price multipliers — whose zero value
-// is the paper's game, threaded through the whole stack:
-//
-//   - The equilibrium engine takes the variant on game.Game; eq.Check and
-//     eq.Certify evaluate deviations under the variant's consent rule,
-//     aggregate distances by SUM or eccentricity, and scale each agent's
-//     buy cost by its multiplier — certificates stay exact rationals
-//     (under DistMax, fractional critical prices like α = 1/3 are real;
-//     see EXPERIMENTS.md).
-//   - ParseVariant gives the descriptor one textual grammar —
-//     "unilateral", "max", "mul:AGENT=P/Q", comma-joined — used by the
-//     -variant flag on sweep/critical/serve/fleet/worker (one shared
-//     flag-set helper defines it once) and the ?variant= query parameter
-//     on /v1/check, /v1/critical and /v1/sweep; serve -variant sets the
-//     daemon's default, requests override per call.
-//   - The sweep cache and verdict store key records by variant. Non-default
-//     records persist as extended frames (codec version 2); legacy frames
-//     decode as the default variant, default-variant writes still emit
-//     byte-identical legacy frames, and cross-variant stores merge safely
-//     because the variant is part of every record identity.
-//   - internal/ncg's independently-written unilateral NCG, formerly only a
-//     differential-testing oracle, is now a shim over the unilateral
-//     variant — and the variant is the engine's own implementation, swept,
-//     certified, persisted and served like the paper's game.
-//
-// The compatibility contract is byte-exact and machine-enforced: at the
-// default variant every output — text reports, JSON modulo the new
-// schema_version/variant fields (SchemaVersion stamps every public JSON
-// payload), store frames, dumps — matches the pre-variant binary, pinned
-// by a golden differential harness in tier-1 and fuzzed at the codec and
-// engine layers.
-//
-// # v10: incremental-distance dynamics and the large-n stochastic workload
-//
-// Enumeration certifies every class exactly and dies at n≈7. v10 adds the
-// complementary instrument: sampling. Improving-response dynamics run to
-// their fixed points (exactly the PS/BGE states for the chosen move set)
-// from random initial states at n = 50–500, where the bottleneck was the
-// old engine's fresh BFS per candidate probe.
-//
-//   - graph.IncDist is an incremental all-pairs distance kernel: n int32
-//     rows plus per-source aggregates (finite-distance sum, unreachable
-//     count), repaired under single edge toggles instead of recomputed.
-//     Adds repair by a pruned partial BFS wave from the improved endpoint;
-//     removals use a Ramalingam–Reps style two-phase repair (level-ordered
-//     affected-set cascade, then a bucket-queue unit-Dijkstra seeded from
-//     the unaffected boundary). Repairs touching more than a threshold of
-//     nodes fall back to a fresh BFS of that row. Correctness is pinned
-//     differentially: a table test, a randomized toggle test, and
-//     FuzzIncrementalDistance compare every repaired row against fresh
-//     BFS after every toggle (CI smoke + nightly rotation).
-//   - internal/dynamics now probes candidates through the kernel: open a
-//     kernel probe on the actors' rows (IncDist.Probe saves them), apply
-//     the move with only those rows repaired, read costs from aggregates,
-//     and IncDist.Rollback, which undoes the toggles on the graph and
-//     copies the saved rows back instead of running the inverse repair.
-//     A committed move repairs every row. Candidate scans reuse a
-//     persistent pair pool (zero allocations at steady state, pinned by
-//     test), and three schedulers pick the scan policy — uniform,
-//     round-robin, and a breakpoint-guided scheduler that commits the move
-//     whose improving α-interval (via eq.Certify's interval arithmetic)
-//     has maximal margin around the current price.
-//     The old evaluator path survives verbatim as Options.FullRecompute,
-//     the differential oracle and benchmark baseline: ~9× more ns/op and
-//     ~4000× more allocs/op at n=256 (BENCH_sim.json, gated ≥5× in CI).
-//   - internal/sim batches trajectories across an α grid from seeded
-//     random initial states (connectivity-patched Erdős–Rényi, uniform
-//     Prüfer trees, stars): per-trajectory seeds derive via a splitmix64
-//     finalizer from (base seed, grid coordinates), workers run in
-//     parallel, and results stream in global index order — the report is
-//     a pure function of the options, byte-identical at any worker count
-//     (gated in CI by run-twice diffs). Per-α summaries aggregate
-//     convergence steps (mean/p50/p95/max), final-topology statistics
-//     (edges, diameter, tree/star shares) and ρ against the social
-//     optimum.
-//   - `bncg simulate` is the CLI face (α grid, trajectories, init family,
-//     ps|bge move set, scheduler, seed, -json, the usual -trace and
-//     -metrics-addr sidecar); GET /v1/simulate streams the same batch as
-//     NDJSON under the daemon's admission control, with MaxSimN and
-//     MaxTrajectories caps and per-route metrics. Three new instrument
-//     families record trajectory outcomes, step counts and latencies.
-//
-// See the examples directory for runnable programs and EXPERIMENTS.md for
-// the recorded reproduction results, the file format of the verdict
-// store, the NDJSON/JSON schemas of the serving endpoints, the
-// before/after numbers of the v4 kernel, the exact critical-α tables
-// of the v5 certificate engine, the n=7 fleet sweep recipe, the traced
-// stage breakdowns of the v8 observability layer, the v9 unilateral
-// and MAX-distance editions of Table 1, and the v10 sampled
-// convergence-step and equilibrium-topology distributions beyond
-// enumeration reach.
+// Experiment runs one reproduction per table row and figure of the paper
+// (internal/experiments) on top of the layers above, including the
+// closed-form and exhaustive Price-of-Anarchy bounds (WorstTree,
+// WorstGraph) and the lower-bound constructions of internal/construct.
+// See the examples directory for runnable programs.
 package bncg

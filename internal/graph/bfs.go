@@ -10,15 +10,25 @@ const Unreachable = -1
 // nodes in other components.
 func (g *Graph) BFS(src int) []int {
 	dist := make([]int, g.n)
+	g.bfsList(src, dist, nil)
+	return dist
+}
+
+// bfsList is the neighbor-list queue BFS behind BFS, BFSInto and
+// BFSScratchInto: it fills dist with hop distances from src, Unreachable
+// for other components. It reuses queue's capacity when it holds n nodes,
+// allocates a queue otherwise, and returns the queue for reuse.
+func (g *Graph) bfsList(src int, dist, queue []int) []int {
 	for i := range dist {
 		dist[i] = Unreachable
 	}
 	dist[src] = 0
-	queue := make([]int, 0, g.n)
-	queue = append(queue, src)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	if cap(queue) < g.n {
+		queue = make([]int, 0, g.n)
+	}
+	queue = append(queue[:0], src)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		for _, v := range g.neigh[u] {
 			if dist[v] == Unreachable {
 				dist[v] = dist[u] + 1
@@ -26,7 +36,7 @@ func (g *Graph) BFS(src int) []int {
 			}
 		}
 	}
-	return dist
+	return queue[:0]
 }
 
 // BFSInto is BFS writing into a caller-provided slice of length n, avoiding
@@ -39,22 +49,7 @@ func (g *Graph) BFSInto(src int, dist []int) {
 		BFSRows(g.bits, 1, src, dist, nil)
 		return
 	}
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	dist[src] = 0
-	queue := make([]int, 0, g.n)
-	queue = append(queue, src)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.neigh[u] {
-			if dist[v] == Unreachable {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
+	g.bfsList(src, dist, nil)
 }
 
 // Dist returns the hop distance between u and v, or Unreachable.
@@ -82,7 +77,7 @@ func (g *Graph) Connected() bool {
 		return true
 	}
 	if g.bits != nil && g.words == 1 {
-		return g.connectedWord()
+		return connectedRows(g.bits, g.n)
 	}
 	dist := g.BFS(0)
 	for _, d := range dist {

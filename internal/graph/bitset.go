@@ -24,22 +24,9 @@ func (g *Graph) initBits() {
 	g.bits = make([]uint64, g.n*g.words)
 }
 
-// row returns node u's adjacency row, a view into the flat bitset.
-func (g *Graph) row(u int) []uint64 { return g.bits[u*g.words : (u+1)*g.words] }
-
 // HasBitset reports whether the graph maintains the dense bitset mirror
 // (true exactly when N() <= MaxBitsetNodes and N() > 0).
 func (g *Graph) HasBitset() bool { return g.bits != nil }
-
-// AdjacencyRow returns node u's adjacency bitset row (bit v set iff uv is
-// an edge), or nil when the graph is above MaxBitsetNodes. The row is owned
-// by the graph and must not be modified.
-func (g *Graph) AdjacencyRow(u int) []uint64 {
-	if g.bits == nil {
-		return nil
-	}
-	return g.row(u)
-}
 
 // BFSScratch holds the reusable buffers of BFSScratchInto, so hot loops
 // (equilibrium checkers, sweeps) traverse without allocating. The zero
@@ -69,25 +56,7 @@ func (g *Graph) BFSScratchInto(src int, dist []int, s *BFSScratch) {
 	}
 	// Neighbor-list fallback for graphs above MaxBitsetNodes, reusing the
 	// scratch queue.
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	dist[src] = 0
-	if cap(s.queue) < g.n {
-		s.queue = make([]int, 0, g.n)
-	}
-	queue := s.queue[:0]
-	queue = append(queue, src)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.neigh[u] {
-			if dist[v] == Unreachable {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
+	s.queue = g.bfsList(src, dist, s.queue)
 }
 
 // BFSRows is the bitset BFS kernel, shared by Graph and by callers that
@@ -164,21 +133,5 @@ func BFSRows(rows []uint64, w, src int, dist []int, s *BFSScratch) {
 			return
 		}
 		s.frontier, s.next = s.next, s.frontier
-	}
-}
-
-// connectedWord reports connectivity with the single-word kernel: iterated
-// closure of the reach set from node 0. Zero allocations.
-func (g *Graph) connectedWord() bool {
-	reach := uint64(1)
-	for {
-		next := reach
-		for f := reach; f != 0; f &= f - 1 {
-			next |= g.bits[bits.TrailingZeros64(f)]
-		}
-		if next == reach {
-			return bits.OnesCount64(reach) == g.n
-		}
-		reach = next
 	}
 }

@@ -61,8 +61,8 @@ type Graph struct {
 	m     int
 	neigh [][]int
 	// bits holds the adjacency rows flat, words uint64 words per row:
-	// bit v of row u (see row) is set iff uv is an edge. nil for
-	// n > MaxBitsetNodes.
+	// row u is bits[u*words:(u+1)*words], and its bit v is set iff uv is
+	// an edge. nil for n > MaxBitsetNodes.
 	bits  []uint64
 	words int
 }

@@ -1,7 +1,5 @@
 package graph
 
-import "math/bits"
-
 // IncDist maintains all-pairs shortest-path distances of a Graph under
 // single edge toggles. It is the hot core of the large-n dynamics engine:
 // an improving-response probe toggles an edge or two, reads a handful of
@@ -18,9 +16,7 @@ import "math/bits"
 //
 //   - Edge added (u,v): if the edge closes a shortcut (|d(u)−d(v)| ≥ 2, or
 //     it reaches an unreachable vertex), run a partial BFS outward from the
-//     improved endpoint, pruning at vertices that do not improve. Word-at-
-//     a-time neighbor expansion on the bitset rows, list fallback above
-//     MaxBitsetNodes.
+//     improved endpoint, pruning at vertices that do not improve.
 //   - Edge removed (u,v): Ramalingam–Reps. If the edge joined equal levels
 //     or the far endpoint keeps another support neighbor one level down,
 //     nothing changes. Otherwise discover the affected set in old-level
@@ -288,27 +284,13 @@ func (d *IncDist) addRepair(s, u, v int) {
 	// vertices the wave does not improve.
 	d.setDist(s, v, du+1)
 	q := append(d.queue[:0], int32(v))
-	g := d.g
 	for head := 0; head < len(q); head++ {
 		x := int(q[head])
 		cand := row[x] + 1
-		if g.bits != nil {
-			for wi, w := range g.row(x) {
-				base := wi << 6
-				for ; w != 0; w &= w - 1 {
-					y := base + bits.TrailingZeros64(w)
-					if dy := row[y]; dy == incNoDist || dy > cand {
-						d.setDist(s, y, cand)
-						q = append(q, int32(y))
-					}
-				}
-			}
-		} else {
-			for _, y := range g.neigh[x] {
-				if dy := row[y]; dy == incNoDist || dy > cand {
-					d.setDist(s, y, cand)
-					q = append(q, int32(y))
-				}
+		for _, y := range d.g.neigh[x] {
+			if dy := row[y]; dy == incNoDist || dy > cand {
+				d.setDist(s, y, cand)
+				q = append(q, int32(y))
 			}
 		}
 	}
@@ -320,20 +302,7 @@ func (d *IncDist) addRepair(s, u, v int) {
 // row s — a parent that still certifies x's current distance.
 func (d *IncDist) hasSupport(s, x int, lvl int32) bool {
 	row := d.rows[s]
-	g := d.g
-	if g.bits != nil {
-		for wi, w := range g.row(x) {
-			base := wi << 6
-			for ; w != 0; w &= w - 1 {
-				y := base + bits.TrailingZeros64(w)
-				if row[y] == lvl && !d.aff[y] {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	for _, y := range g.neigh[x] {
+	for _, y := range d.g.neigh[x] {
 		if row[y] == lvl && !d.aff[y] {
 			return true
 		}
@@ -402,30 +371,13 @@ phase1:
 				break phase1
 			}
 			next := l + 1
-			if g.bits != nil {
-				for wi, wd := range g.row(x) {
-					base := wi << 6
-					for ; wd != 0; wd &= wd - 1 {
-						y := base + bits.TrailingZeros64(wd)
-						if row[y] == next && !d.aff[y] && !d.pending[y] {
-							d.pending[y] = true
-							d.bucketPush(next, int32(y))
-							queued++
-							if next > maxL {
-								maxL = next
-							}
-						}
-					}
-				}
-			} else {
-				for _, y := range g.neigh[x] {
-					if row[y] == next && !d.aff[y] && !d.pending[y] {
-						d.pending[y] = true
-						d.bucketPush(next, int32(y))
-						queued++
-						if next > maxL {
-							maxL = next
-						}
+			for _, y := range g.neigh[x] {
+				if row[y] == next && !d.aff[y] && !d.pending[y] {
+					d.pending[y] = true
+					d.bucketPush(next, int32(y))
+					queued++
+					if next > maxL {
+						maxL = next
 					}
 				}
 			}
@@ -457,21 +409,9 @@ phase1:
 	for _, xi := range d.affList {
 		x := int(xi)
 		best := inf
-		if g.bits != nil {
-			for wi, wd := range g.row(x) {
-				base := wi << 6
-				for ; wd != 0; wd &= wd - 1 {
-					y := base + bits.TrailingZeros64(wd)
-					if !d.aff[y] && row[y] != incNoDist && row[y]+1 < best {
-						best = row[y] + 1
-					}
-				}
-			}
-		} else {
-			for _, y := range g.neigh[x] {
-				if !d.aff[y] && row[y] != incNoDist && row[y]+1 < best {
-					best = row[y] + 1
-				}
+		for _, y := range g.neigh[x] {
+			if !d.aff[y] && row[y] != incNoDist && row[y]+1 < best {
+				best = row[y] + 1
 			}
 		}
 		d.newd[x] = best
@@ -494,25 +434,11 @@ phase1:
 			d.done[x] = true
 			d.setDist(s, x, l)
 			cand := l + 1
-			if g.bits != nil {
-				for wi, wd := range g.row(x) {
-					base := wi << 6
-					for ; wd != 0; wd &= wd - 1 {
-						y := base + bits.TrailingZeros64(wd)
-						if d.aff[y] && !d.done[y] && cand < d.newd[y] {
-							d.newd[y] = cand
-							d.bucketPush(cand, int32(y))
-							queued++
-						}
-					}
-				}
-			} else {
-				for _, y := range g.neigh[x] {
-					if d.aff[y] && !d.done[y] && cand < d.newd[y] {
-						d.newd[y] = cand
-						d.bucketPush(cand, int32(y))
-						queued++
-					}
+			for _, y := range g.neigh[x] {
+				if d.aff[y] && !d.done[y] && cand < d.newd[y] {
+					d.newd[y] = cand
+					d.bucketPush(cand, int32(y))
+					queued++
 				}
 			}
 		}

@@ -131,11 +131,18 @@ func TestIncDistTable(t *testing.T) {
 // TestIncDistRandomToggles is the table test's randomized sibling: long
 // uniform toggle sequences over several sizes, verified after every step,
 // at both the default threshold and a threshold of 1 (forcing the
-// full-recompute fallback on every cascade).
+// full-recompute fallback on every cascade). n = 200 is simulate's size
+// (four-word rows). The summed repair and fallback counts are pinned per
+// threshold: the repairs visit neighbors in ascending order, so any change
+// to the kernel that alters which rows repair or fall back moves them.
 func TestIncDistRandomToggles(t *testing.T) {
+	want := map[int]IncStats{
+		0: {Repairs: 7438, Fallbacks: 1},
+		1: {Repairs: 7760, Fallbacks: 155},
+	}
 	for _, threshold := range []int{0, 1} {
-		var fallbacks uint64
-		for _, n := range []int{2, 3, 7, 16, 33, 70} {
+		var total IncStats
+		for _, n := range []int{2, 3, 7, 16, 33, 70, 200} {
 			rng := rand.New(rand.NewSource(int64(100*n + threshold)))
 			m := n
 			if max := n * (n - 1) / 2; m > max {
@@ -164,10 +171,14 @@ func TestIncDistRandomToggles(t *testing.T) {
 				}
 				checkAgainstBFS(t, d, "random")
 			}
-			fallbacks += d.Stats().Fallbacks
+			total.Repairs += d.Stats().Repairs
+			total.Fallbacks += d.Stats().Fallbacks
 		}
-		if threshold == 1 && fallbacks == 0 {
+		if threshold == 1 && total.Fallbacks == 0 {
 			t.Fatal("threshold=1 never exercised the fallback path")
+		}
+		if total != want[threshold] {
+			t.Errorf("threshold=%d: summed stats %+v, want %+v", threshold, total, want[threshold])
 		}
 	}
 }

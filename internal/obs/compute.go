@@ -123,33 +123,40 @@ func (m *ComputeMetrics) BindCacheStats(fn func() (verdicts, certificates int, h
 }
 
 // BindStoreStats attaches scrape-time store sampling: cumulative flushed
-// bytes, flush failures, on-disk bytes and pending (unflushed) records.
-func (m *ComputeMetrics) BindStoreStats(fn func() (flushedBytes, flushFailures, diskBytes int64, pending int)) {
+// bytes, flush failures and refused writes, on-disk bytes and pending
+// (unflushed) records.
+func (m *ComputeMetrics) BindStoreStats(fn func() (flushedBytes, flushFailures, rejectedWrites, diskBytes int64, pending int)) {
 	if m == nil {
 		return
 	}
 	m.Registry.Custom("bncg_store_flushed_bytes_total",
 		"Bytes appended to store segments by flushes.", "counter",
 		func(e *Exposition) {
-			b, _, _, _ := fn()
+			b, _, _, _, _ := fn()
 			e.SampleInt(b)
 		})
 	m.Registry.Custom("bncg_store_flush_failures_total",
 		"Store flushes that returned an error.", "counter",
 		func(e *Exposition) {
-			_, f, _, _ := fn()
+			_, f, _, _, _ := fn()
 			e.SampleInt(f)
+		})
+	m.Registry.Custom("bncg_store_rejected_writes_total",
+		"Records the store refused to hold (invalid, conflicting, or store closed); they exist only in memory.", "counter",
+		func(e *Exposition) {
+			_, _, r, _, _ := fn()
+			e.SampleInt(r)
 		})
 	m.Registry.Custom("bncg_store_disk_bytes",
 		"Bytes across all store segment files.", "gauge",
 		func(e *Exposition) {
-			_, _, d, _ := fn()
+			_, _, _, d, _ := fn()
 			e.SampleInt(d)
 		})
 	m.Registry.Custom("bncg_store_pending_records",
 		"Records buffered in memory awaiting flush.", "gauge",
 		func(e *Exposition) {
-			_, _, _, p := fn()
+			_, _, _, _, p := fn()
 			e.SampleInt(int64(p))
 		})
 }

@@ -196,7 +196,7 @@ func TestComputeMetricsExposition(t *testing.T) {
 	m.TrajectoryObserved(120, true, 40*time.Millisecond, 900, 12)
 	m.TrajectoryObserved(1000, false, 2*time.Second, 100, 3)
 	m.BindCacheStats(func() (int, int, int64, int64) { return 10, 4, 100, 7 })
-	m.BindStoreStats(func() (int64, int64, int64, int) { return 2048, 1, 4096, 3 })
+	m.BindStoreStats(func() (int64, int64, int64, int64, int) { return 2048, 1, 5, 4096, 3 })
 
 	var b strings.Builder
 	m.Registry.WriteText(&b)
@@ -218,6 +218,7 @@ func TestComputeMetricsExposition(t *testing.T) {
 		"bncg_cache_misses_total 7",
 		"bncg_store_flushed_bytes_total 2048",
 		"bncg_store_flush_failures_total 1",
+		"bncg_store_rejected_writes_total 5",
 		"bncg_store_disk_bytes 4096",
 		"bncg_store_pending_records 3",
 		"bncg_sim_trajectories_total{outcome=\"converged\"} 1",

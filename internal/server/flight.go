@@ -40,14 +40,6 @@ func (g *flightGroup) startedCount() int64 {
 	return g.started
 }
 
-// hasFlight reports whether a flight for key is live — used only to label
-// responses as shared; join remains the authoritative (atomic) attach.
-func (g *flightGroup) hasFlight(key string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.m[key] != nil
-}
-
 // flight is one shared sweep computation. Subscribers read items by index
 // under mu, sleeping on cond until the coordinator publishes more; the
 // publisher is the sweep's own OnItem hook, so items arrive in the
@@ -68,15 +60,17 @@ type flight struct {
 }
 
 // join attaches to the flight for key, starting the computation via run
-// when no flight is live. run is executed on a fresh goroutine with a
-// context bounded by timeout and cancelled when the last subscriber
-// leaves; it must call the returned flight's publish for every item and
-// finish exactly once.
-func (g *flightGroup) join(key string, timeout time.Duration, run func(ctx context.Context, fl *flight)) *flight {
+// when no flight is live, and reports whether it attached to a live
+// flight (shared) rather than starting one. run is executed on a fresh
+// goroutine with a context bounded by timeout and cancelled when the last
+// subscriber leaves; it must call the returned flight's publish for every
+// item and finish exactly once.
+func (g *flightGroup) join(key string, timeout time.Duration, run func(ctx context.Context, fl *flight)) (fl *flight, shared bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	fl := g.m[key]
-	if fl == nil {
+	fl = g.m[key]
+	shared = fl != nil
+	if !shared {
 		g.started++
 		fl = &flight{g: g, key: key}
 		fl.cond = sync.NewCond(&fl.mu)
@@ -92,7 +86,7 @@ func (g *flightGroup) join(key string, timeout time.Duration, run func(ctx conte
 	fl.mu.Lock()
 	fl.refs++
 	fl.mu.Unlock()
-	return fl
+	return fl, shared
 }
 
 // remove unmaps fl so later requests start fresh (typically served almost

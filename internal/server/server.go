@@ -492,8 +492,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := sweepKey(opts)
-	joined := s.sweeps.hasFlight(key)
-	fl := s.sweeps.join(key, s.cfg.RequestTimeout, func(ctx context.Context, fl *flight) {
+	fl, joined := s.sweeps.join(key, s.cfg.RequestTimeout, func(ctx context.Context, fl *flight) {
 		runOpts := opts
 		runOpts.OnItem = fl.publish
 		res, err := sweep.Run(ctx, runOpts)
