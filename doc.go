@@ -67,13 +67,17 @@
 // Each solution concept (RE, BAE, PS, BSwE, BGE, BNE, k-BSE, BSE) has one
 // deviation scan, run toward one of two targets. Check targets the single
 // price of the game and stops at the first deviation improving all its
-// actors, the witness. Certify targets the whole α-axis: it collects each
-// deviation's improving interval and returns the exact stable set as an
-// AlphaSet, sorted disjoint rational intervals with exact Breakpoints.
-// An Evaluator keeps its own flat bitset adjacency, where a candidate
-// edge is two XORs, plus the scan buffers, so a check at sweep sizes
-// allocates nothing. The unilateral NCG of the related work is the
-// unilateral variant on the same engine (internal/ncg).
+// actors, the witness. Certify targets the whole α-axis: it intersects
+// each deviation's actor improving sets as two unreduced breakpoints,
+// drops the deviation once that intersection is empty or already inside
+// the improving union, merges the survivors into the union, and returns
+// the exact stable set as an AlphaSet, sorted disjoint rational intervals
+// with exact Breakpoints. An Evaluator keeps its own flat bitset
+// adjacency, where a candidate edge is two XORs, plus the scan buffers, so
+// a check at sweep sizes allocates nothing; Evaluator.Evals counts the
+// actor distance evaluations of its last scan. The unilateral NCG of the
+// related work is the unilateral variant on the same engine
+// (internal/ncg).
 //
 // # Sweeps and the store (internal/sweep, internal/store)
 //
@@ -124,7 +128,8 @@
 //
 // Tracer writes deterministic NDJSON spans for the sweep, store and fleet
 // stages (`-trace`), and `bncg trace` (ReadTraceFiles, AnalyzeTrace)
-// breaks a run down by stage, slowest class and worker lane. A
+// breaks a run down by stage, slowest class (each concept's certify time
+// with its scan's evals) and worker lane. A
 // hand-rolled Prometheus registry backs both the daemon's /metrics and
 // the ComputeMetrics sidecar (`-metrics-addr`, optional pprof) of sweep,
 // worker and simulate runs: classes, certify latency, cache and store

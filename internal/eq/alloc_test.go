@@ -54,6 +54,36 @@ func TestEvaluatorZeroAllocsPerCheck(t *testing.T) {
 	}
 }
 
+// TestEvaluatorCertifyAllocs is the certificate edition of the gate above:
+// a warmed, bound Evaluator certifies C8 for the seven concepts through
+// 2-BSE with one allocation per certificate, the AlphaSet it returns. The
+// axis scans' running interval and their union-containment exit must add
+// none.
+func TestEvaluatorCertifyAllocs(t *testing.T) {
+	g := allocGraph()
+	ev := NewEvaluator()
+	gm, err := game.NewGame(8, game.A(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	concepts := []Concept{RE, BAE, PS, BSwE, BGE, BNE, TwoBSE}
+	ev.Bind(gm, g)
+	for _, c := range concepts {
+		if set := ev.CertifyBound(c); !set.Contains(game.A(5)) {
+			t.Fatalf("premise broken: C8 certificate for %s is %s, want it to hold α=5", c, set)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		ev.Bind(gm, g)
+		for _, c := range concepts {
+			ev.CertifyBound(c)
+		}
+	})
+	if want := float64(len(concepts)); allocs != want {
+		t.Errorf("evaluator allocates %v times per %d-concept certification at n=8, want %v", allocs, len(concepts), want)
+	}
+}
+
 // TestEvaluatorRhoZeroAllocs pins the allocation-free social-cost path the
 // PoA reductions use, and its bit-identity with Game.Rho.
 func TestEvaluatorRhoZeroAllocs(t *testing.T) {

@@ -140,26 +140,7 @@ func (iv AlphaInterval) String() string {
 	return b.String()
 }
 
-// intersect returns the intersection of two intervals (possibly empty).
-func intersect(a, b AlphaInterval) AlphaInterval {
-	out := a
-	switch c := b.Lo.Cmp(out.Lo); {
-	case c > 0:
-		out.Lo, out.LoOpen = b.Lo, b.LoOpen
-	case c == 0:
-		out.LoOpen = out.LoOpen || b.LoOpen
-	}
-	switch c := b.Hi.Cmp(out.Hi); {
-	case c < 0:
-		out.Hi, out.HiOpen = b.Hi, b.HiOpen
-	case c == 0:
-		out.HiOpen = out.HiOpen || b.HiOpen
-	}
-	return out
-}
-
-// fullAxis is the whole α-axis [0, ∞). Every scanned deviation starts
-// from it, so it is a literal rather than a reduced RatOf.
+// fullAxis is the whole α-axis [0, ∞).
 func fullAxis() AlphaInterval {
 	return AlphaInterval{Lo: Rat{Num: 0, Den: 1}, Hi: RatInf()}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/exact"
 	"repro/internal/game"
 	"repro/internal/graph"
 	"repro/internal/move"
@@ -16,19 +17,23 @@ import (
 //     CheckUnilateralAE): each actor is tested with the exact Cost
 //     comparison at that price, and the scan stops at the first deviation
 //     whose actors all strictly improve, which becomes the witness;
-//   - the whole α-axis (Certify, CertifyBound): each actor's improving
-//     α-interval is computed from the exact cost deltas, the actors'
-//     intervals are intersected, and the union over all deviations is
-//     accumulated; the stable AlphaSet is its complement.
+//   - the whole α-axis (Certify, CertifyBound): each actor's cost delta is
+//     classified by improvement (nowhere, everywhere, below or above one
+//     breakpoint), the actors' improving sets are intersected, and the
+//     union over all deviations is accumulated; the stable AlphaSet is its
+//     complement.
 //
 // Both targets share two early exits: per deviation, the actors are
 // abandoned at the first one that does not improve (or whose interval
 // empties the intersection); per scan, the search aborts once the
 // improving deviations cover the target — a state unstable at every price
-// certifies as fast as a point check refutes it. Because the point test
-// is Cost.Less and the axis test is interval arithmetic, the certificate
-// differential tests and FuzzCertificateAgreement check one against the
-// other over the same enumeration.
+// certifies as fast as a point check refutes it. The axis target has a
+// third: a deviation is also abandoned once its running intersection lies
+// inside one interval of the union, since later actors only narrow it and
+// it could add no price. Because the point test is Cost.Less and the axis
+// test is interval arithmetic, the certificate differential tests and
+// FuzzCertificateAgreement check one against the other over the same
+// enumeration.
 
 // Certify returns the exact set of edge prices at which g is stable for
 // concept c. The α carried by gm is irrelevant — only the node count is
@@ -62,6 +67,7 @@ func (ev *Evaluator) CertifyBound(c Concept) AlphaSet { return ev.c.certify(c) }
 func (c *checker) begin(point bool) {
 	c.point = point
 	c.covered = false
+	c.evals = 0
 	c.witness = nil
 	c.union = c.union[:0]
 }
@@ -124,7 +130,15 @@ func (c *checker) scan(concept Concept) {
 // price multipliers are the caller's concern: scale both costs by the
 // agent's (p, q) first (game.Cost.Scale), exactly as Certify does.
 func ImprovingIntervalOf(before, after game.Cost) (AlphaInterval, bool) {
-	return improvingIntervalOf(before, after)
+	switch kind, num, den := improvement(before, after); kind {
+	case improvesEverywhere:
+		return fullAxis(), true
+	case improvesBelow:
+		return AlphaInterval{Lo: RatOf(0, 1), Hi: RatOf(num, den), HiOpen: true}, true
+	case improvesAbove:
+		return AlphaInterval{Lo: RatOf(num, den), LoOpen: true, Hi: RatInf()}, true
+	}
+	return AlphaInterval{}, false
 }
 
 // Contains reports whether α lies in the interval.
@@ -132,40 +146,53 @@ func (iv AlphaInterval) Contains(a game.Alpha) bool {
 	return iv.contains(RatOf(a.Num(), a.Den()))
 }
 
-// improvingIntervalOf returns the exact α-interval on which `after` is
-// strictly cheaper than `before` under the lexicographic cost order, and
-// whether that interval is non-empty. With equal reachability the
-// comparison is num·ΔBuy + den·ΔDist < 0, which flips at the single
+// The classes of improvement reports: where on the α-axis an actor's
+// deviation cost is strictly below her baseline.
+const (
+	improvesNowhere    = iota
+	improvesEverywhere // the whole axis [0, ∞)
+	improvesBelow      // α < num/den: the prefix [0, num/den)
+	improvesAbove      // α > num/den: the suffix (num/den, ∞)
+)
+
+// improvement classifies where `after` is strictly cheaper than `before`
+// under the lexicographic cost order, with the breakpoint num/den (den > 0,
+// not reduced) of the prefix and suffix classes. With equal reachability
+// the comparison is num·ΔBuy + den·ΔDist < 0, which flips at the single
 // rational breakpoint α* = −ΔDist/ΔBuy; unequal reachability decides
-// independently of α (the paper's M > α·n³ disconnection price).
-func improvingIntervalOf(before, after game.Cost) (AlphaInterval, bool) {
+// independently of α (the paper's M > α·n³ disconnection price). It is the
+// one sign analysis of a cost delta: the axis scans narrow their running
+// intersection with it, and ImprovingIntervalOf builds its interval from
+// it.
+func improvement(before, after game.Cost) (kind int, num, den int64) {
 	if after.Unreachable != before.Unreachable {
 		if after.Unreachable < before.Unreachable {
-			return fullAxis(), true
+			return improvesEverywhere, 0, 0
 		}
-		return AlphaInterval{}, false
+		return improvesNowhere, 0, 0
 	}
 	dBuy := after.Buy - before.Buy
 	dDist := after.Dist - before.Dist
 	switch {
 	case dBuy == 0:
 		if dDist < 0 {
-			return fullAxis(), true
+			return improvesEverywhere, 0, 0
 		}
-		return AlphaInterval{}, false
 	case dBuy > 0:
-		// Improves iff α < −ΔDist/ΔBuy: a half-open prefix of the axis.
-		if dDist >= 0 {
-			return AlphaInterval{}, false // breakpoint at or below 0
-		}
-		return AlphaInterval{Lo: RatOf(0, 1), Hi: RatOf(-dDist, dBuy), HiOpen: true}, true
-	default:
-		// Improves iff α > ΔDist/(−ΔBuy): an open suffix of the axis.
+		// Improves iff α < −ΔDist/ΔBuy: empty when the breakpoint is at or
+		// below 0.
 		if dDist < 0 {
-			return fullAxis(), true // breakpoint below 0
+			return improvesBelow, -dDist, dBuy
 		}
-		return AlphaInterval{Lo: RatOf(dDist, -dBuy), LoOpen: true, Hi: RatInf()}, true
+	default:
+		// Improves iff α > ΔDist/(−ΔBuy): the whole axis when the
+		// breakpoint is below 0.
+		if dDist < 0 {
+			return improvesEverywhere, 0, 0
+		}
+		return improvesAbove, dDist, -dBuy
 	}
+	return improvesNowhere, 0, 0
 }
 
 // The deviation protocol of the scans — a begin/actor/commit triple on
@@ -183,38 +210,73 @@ func improvingIntervalOf(before, after game.Cost) (AlphaInterval, bool) {
 // step from one mask to the next with flip, toggling only the changed
 // bits. done tells the scan to stop. A point scan is done at its first
 // deviation whose actors all improve at gm.Alpha, and only then builds the
-// witness move; an axis scan is done once the improving union covers
-// [0, ∞).
+// witness move. An axis scan keeps the running intersection of the actors'
+// improving sets as two unreduced breakpoints: the deviation fails once the
+// intersection is empty or lies inside one interval of the union (the
+// union only grows, so the deviation could never add a price to it), and
+// a surviving deviation is reduced to an AlphaInterval only when it joins
+// the union. The axis scan is done once the union covers [0, ∞).
 
 // devBegin starts a new deviation with the whole axis as the running
-// intersection of the actors' improving intervals.
+// intersection of the actors' improving sets.
 func (c *checker) devBegin() {
-	c.devIval = fullAxis()
+	c.devLoDen, c.devHiDen = 0, 0
 	c.devAlive = true
 }
 
 // devActor adds agent u as an actor of the current deviation, in the
-// current (toggled) private adjacency. At a point target u must improve at gm.Alpha;
-// on the axis her improving interval narrows the running intersection.
-// It reports whether the deviation can still improve every actor so far —
-// the scans' per-deviation early exit.
+// current (toggled) private adjacency. At a point target u must improve at
+// gm.Alpha; on the axis her improving set narrows the running
+// intersection. It reports whether the deviation can still improve every
+// actor so far and, on the axis, still add a price to the union — the
+// scans' per-deviation early exit.
 func (c *checker) devActor(u int) bool {
 	before, after := c.costs(u)
 	if c.point {
 		c.devAlive = after.Less(before, c.gm.Alpha)
 		return c.devAlive
 	}
-	a, ok := improvingIntervalOf(before, after)
-	if !ok {
+	switch kind, num, den := improvement(before, after); kind {
+	case improvesNowhere:
 		c.devAlive = false
 		return false
+	case improvesEverywhere:
+		// Nothing narrows. The intersection was tested after its last
+		// narrowing, or it is still the whole axis, which no interval of
+		// an uncovered union holds.
+		return true
+	case improvesBelow:
+		if c.devHiDen == 0 || exact.Less(num, c.devHiDen, c.devHiNum, den) {
+			c.devHiNum, c.devHiDen = num, den
+		}
+	case improvesAbove:
+		if c.devLoDen == 0 || exact.Less(c.devLoNum, den, num, c.devLoDen) {
+			c.devLoNum, c.devLoDen = num, den
+		}
 	}
-	c.devIval = intersect(c.devIval, a)
-	if c.devIval.empty() {
+	empty := c.devLoDen != 0 && c.devHiDen != 0 && !exact.Less(c.devLoNum, c.devHiDen, c.devHiNum, c.devLoDen)
+	if empty || c.devInUnion() {
 		c.devAlive = false
 		return false
 	}
 	return true
+}
+
+// devInUnion reports whether the non-empty running intersection lies
+// inside one interval of the union. Only the first union interval whose
+// upper end reaches the intersection's can hold it: every later one starts
+// at or above that end.
+func (c *checker) devInUnion() bool {
+	for _, iv := range c.union {
+		if !iv.Hi.IsInf() && (c.devHiDen == 0 || exact.Less(iv.Hi.Num, c.devHiDen, c.devHiNum, iv.Hi.Den)) {
+			continue // iv ends below the intersection's upper end
+		}
+		if c.devLoDen == 0 {
+			return iv.Lo.Num == 0 && !iv.LoOpen
+		}
+		return !exact.Less(c.devLoNum, iv.Lo.Den, iv.Lo.Num, c.devLoDen)
+	}
+	return false
 }
 
 // devCommit closes the current deviation and reports whether the target
@@ -231,10 +293,18 @@ func (c *checker) devCommit() bool {
 	return c.covered
 }
 
-// mergeDeviation merges the closed deviation's interval into the union.
-// It is kept out of devCommit so that devCommit inlines into the scans.
+// mergeDeviation reduces the closed deviation's running intersection to an
+// AlphaInterval and merges it into the union. It is kept out of devCommit
+// so that devCommit inlines into the scans.
 func (c *checker) mergeDeviation() {
-	c.union = unionAdd(c.union, c.devIval)
+	iv := fullAxis()
+	if c.devLoDen != 0 {
+		iv.Lo, iv.LoOpen = RatOf(c.devLoNum, c.devLoDen), true
+	}
+	if c.devHiDen != 0 {
+		iv.Hi, iv.HiOpen = RatOf(c.devHiNum, c.devHiDen), true
+	}
+	c.union = unionAdd(c.union, iv)
 	c.covered = coversAxis(c.union)
 }
 

@@ -155,18 +155,28 @@ func certProbePoints(set AlphaSet) []game.Alpha {
 // every connected graph class up to n=5 and every concept, the certificate
 // must agree with Check on a dense grid including its own
 // breakpoints and their midpoints. This is the tier-1 twin of the
-// FuzzCertificateAgreement harness.
+// FuzzCertificateAgreement harness. Without -short it also covers the
+// n=6 classes for 2-BSE and 3-BSE, where the axis scans' early exit for
+// deviations inside the union fires most.
 func TestCertifyMatchesCheckAllSmall(t *testing.T) {
 	ev := NewEvaluator()
-	for n := 2; n <= 5; n++ {
+	maxN := 6
+	if testing.Short() {
+		maxN = 5
+	}
+	for n := 2; n <= maxN; n++ {
 		gm, err := game.NewGame(n, game.A(1))
 		if err != nil {
 			t.Fatal(err)
 		}
+		concepts := Concepts()
+		if n == 6 {
+			concepts = []Concept{TwoBSE, ThreeBSE}
+		}
 		for g := range graph.All(n, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}) {
 			h := g.Clone()
 			ev.Bind(gm, h)
-			for _, c := range Concepts() {
+			for _, c := range concepts {
 				set := ev.CertifyBound(c)
 				for _, alpha := range certProbePoints(set) {
 					gmA, err := game.NewGame(n, alpha)

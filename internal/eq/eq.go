@@ -172,6 +172,11 @@ func (ev *Evaluator) Bind(gm game.Game, g *graph.Graph) { ev.c.reset(gm, g) }
 // must not be called before Bind.
 func (ev *Evaluator) CheckBound(c Concept) Result { return ev.c.check(c) }
 
+// Evals returns the number of actor distance evaluations — one BFS and
+// cost build per actor of a scanned deviation — that the evaluator's last
+// Check, CheckBound, Certify or CertifyBound ran: the work of its scan.
+func (ev *Evaluator) Evals() int64 { return ev.c.evals }
+
 // Rho returns the social cost ratio ρ(g) — identical to Game.Rho bit for
 // bit — computed with the evaluator's scratch buffers, so PoA reductions
 // over a sweep allocate nothing per graph.
@@ -224,14 +229,22 @@ type checker struct {
 	// improving deviations found so far cover the target — the scans'
 	// abort signal. A point scan stops at its first improving deviation
 	// and records it as witness; an axis scan accumulates the merged
-	// union of improving α-intervals, with devIval the running
-	// intersection of the current deviation's actor intervals.
+	// union of improving α-intervals. devAlive reports that the current
+	// deviation has not failed yet. evals counts the actor distance
+	// evaluations (costs calls) of the current scan.
 	point    bool
 	covered  bool
 	witness  move.Move
 	union    []AlphaInterval
-	devIval  AlphaInterval
 	devAlive bool
+	evals    int64
+	// The axis scan's running intersection of the current deviation's
+	// actor improving sets, as two unreduced breakpoints num/den: the
+	// lower end is the closed 0 when devLoDen == 0 and the open
+	// breakpoint devLoNum/devLoDen otherwise; the upper end is +∞ when
+	// devHiDen == 0 and the open breakpoint devHiNum/devHiDen otherwise.
+	devLoNum, devLoDen int64
+	devHiNum, devHiDen int64
 	// Variant state, latched at reset so the hot loops branch on plain
 	// booleans: unilateral consent switches the add/swap/neighborhood
 	// scans to initiator-only improvement; hetero scales each agent's
@@ -338,6 +351,7 @@ func (c *checker) snapshotNeighbors(u int) []int {
 // multiplier so that they compare — and yield breakpoints — in the global
 // α.
 func (c *checker) costs(u int) (before, after game.Cost) {
+	c.evals++
 	graph.BFSRows(c.adj, c.w, u, c.dist, &c.bfs)
 	return c.scaled(u, c.gm.CostFromDist(c.degree(u), c.dist))
 }

@@ -1,6 +1,8 @@
 package eq
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -290,23 +292,36 @@ func extremeAlphas() []game.Alpha {
 }
 
 // TestCheckMatchesCertifyAtExtremeAlpha: on P5, the star and K5, at every
-// extreme price and with and without a price multiplier, Check must not
+// extreme price and with and without price multipliers, Check must not
 // panic and must agree with the certificate. P5 at 2⁶²−1 is stable for
-// every concept: an added edge costs its buyers ~4.6·10¹⁸.
+// every concept: an added edge costs its buyers ~4.6·10¹⁸. One variant puts
+// both multiplier terms at Variant.Validate's bound for n=5,
+// ⌊(2⁶³−1)/25⌋: its scaled cost deltas are the largest the axis scans'
+// unreduced breakpoints can hold, and the certificate is also probed at
+// each of its own breakpoints.
 func TestCheckMatchesCertifyAtExtremeAlpha(t *testing.T) {
-	mul, err := game.ParseVariant("mul:0=3")
-	if err != nil {
-		t.Fatal(err)
+	var variants []game.Variant
+	bound := int64(math.MaxInt64 / 25)
+	for _, s := range []string{"", "mul:0=3", fmt.Sprintf("mul:0=%d,mul:2=1/%d", bound, bound)} {
+		v, err := game.ParseVariant(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Validate(5); err != nil {
+			t.Fatal(err)
+		}
+		variants = append(variants, v)
 	}
 	graphs := map[string]*graph.Graph{"P5": construct.Path(5), "star5": game.Star(5), "K5": game.Clique(5)}
 	for name, g := range graphs {
-		for _, variant := range []game.Variant{{}, mul} {
-			for _, alpha := range extremeAlphas() {
-				gm := mustGame(t, 5, alpha)
-				gm.Variant = variant
-				for _, c := range Concepts() {
+		for _, variant := range variants {
+			for _, c := range Concepts() {
+				cert := Certify(game.Game{N: 5, Variant: variant}, g, c)
+				for _, alpha := range append(extremeAlphas(), cert.Breakpoints()...) {
+					gm := mustGame(t, 5, alpha)
+					gm.Variant = variant
 					r := Check(gm, g, c)
-					if cert := Certify(gm, g, c); cert.Contains(alpha) != r.Stable {
+					if cert.Contains(alpha) != r.Stable {
 						t.Errorf("%s variant=%s α=%s %s: Check stable=%v (witness %v), certificate %s",
 							name, variant, alpha, c, r.Stable, r.Witness, cert)
 					}

@@ -167,10 +167,13 @@ type StageStat struct {
 	WallShare float64 `json:"wall_share"`
 }
 
-// ConceptDur is one concept's certify time within a class.
+// ConceptDur is one concept's certify time within a class, with the
+// actor distance evaluations its scan ran (also 0 when the span does not
+// carry the count, as in traces written before spans had it).
 type ConceptDur struct {
 	Concept string `json:"concept"`
 	DurUS   int64  `json:"dur_us"`
+	Evals   int64  `json:"evals,omitempty"`
 }
 
 // ClassStat is one (slow) class span with its per-concept breakdown.
@@ -304,8 +307,9 @@ func Analyze(tr *Trace, topK int) *Report {
 			}
 			if class, ok := attrInt(s.Attrs, "class"); ok {
 				concept, _ := s.Attrs["concept"].(string)
+				evals, _ := attrInt(s.Attrs, "evals")
 				k := classKey{s.Source, class}
-				certs[k] = append(certs[k], ConceptDur{Concept: concept, DurUS: s.DurUS})
+				certs[k] = append(certs[k], ConceptDur{Concept: concept, DurUS: s.DurUS, Evals: evals})
 			}
 		}
 		for _, s := range tr.Spans {
@@ -475,6 +479,9 @@ func (r *Report) Text() string {
 					sep = ", "
 				}
 				fmt.Fprintf(&b, "%s%s %s", sep, cd.Concept, fmtUS(cd.DurUS))
+				if cd.Evals > 0 {
+					fmt.Fprintf(&b, " (%d evals)", cd.Evals)
+				}
 			}
 			b.WriteString("\n")
 		}

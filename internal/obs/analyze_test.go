@@ -86,7 +86,7 @@ func syntheticFleetTrace(t *testing.T) *Trace {
 	w1 := writeTrace(t, "w1.trace", headerLine+
 		`{"type":"span","name":"range","source":"w1","start_us":0,"dur_us":1000,"attrs":{"start":0,"end":2}}`+"\n"+
 		`{"type":"span","name":"class","source":"w1","start_us":0,"dur_us":400,"attrs":{"class":0,"worker":0}}`+"\n"+
-		`{"type":"span","name":"certify","source":"w1","start_us":0,"dur_us":300,"attrs":{"class":0,"concept":"PS"}}`+"\n"+
+		`{"type":"span","name":"certify","source":"w1","start_us":0,"dur_us":300,"attrs":{"class":0,"concept":"PS","evals":1234}}`+"\n"+
 		`{"type":"span","name":"certify","source":"w1","start_us":300,"dur_us":100,"attrs":{"class":0,"concept":"NE"}}`+"\n"+
 		`{"type":"span","name":"class","source":"w1","start_us":400,"dur_us":600,"attrs":{"class":1,"cached":true,"worker":0}}`+"\n"+
 		`{"type":"event","name":"steal","source":"w1","at_us":500,"attrs":{"start":0,"end":2,"epoch":2}}`+"\n")
@@ -134,8 +134,8 @@ func TestAnalyzeSyntheticFleet(t *testing.T) {
 		t.Fatalf("slowest[0] = %+v, want cached class 1", c)
 	}
 	if c := rep.Slowest[1]; c.Class != 0 || len(c.Concepts) != 2 ||
-		c.Concepts[0] != (ConceptDur{"PS", 300}) || c.Concepts[1] != (ConceptDur{"NE", 100}) {
-		t.Fatalf("slowest[1] = %+v, want class 0 with PS 300, NE 100", c)
+		c.Concepts[0] != (ConceptDur{"PS", 300, 1234}) || c.Concepts[1] != (ConceptDur{"NE", 100, 0}) {
+		t.Fatalf("slowest[1] = %+v, want class 0 with PS 300 (1234 evals), NE 100", c)
 	}
 
 	// Lanes: w1 fully busy, w2 busy for its own 500µs extent. The overall
@@ -204,7 +204,7 @@ func TestReportText(t *testing.T) {
 		"slowest classes:",
 		"class 1",
 		"(w1, cached)",
-		"PS 300µs",
+		"PS 300µs (1234 evals), NE 100µs\n",
 		"timeline ('#' busy, '.' idle, 'S' steal):",
 		"coverage: 100.0% of wall-clock accounted across stages",
 	} {

@@ -382,7 +382,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 						// allocation-free: the Attrs literal is only built
 						// when a frame will actually be written.
 						if certSpan != nil {
-							certSpan.End(obs.Attrs{"class": opts.ClassStart + gi, "concept": concept.String()})
+							certSpan.End(obs.Attrs{"class": opts.ClassStart + gi, "concept": concept.String(), "evals": ev.Evals()})
 						}
 						if opts.Metrics != nil {
 							opts.Metrics.CertifyObserved(time.Since(certT0))

@@ -59,8 +59,21 @@ func TestTraceReplayByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}
+	var evals float64
 	for _, s := range parsed.Spans {
 		counts[s.Name]++
+		// Every certification reports its scan's work; BAE on the clique
+		// has no move to evaluate, so a single count may be 0.
+		if s.Name == "certify" {
+			e, ok := s.Attrs["evals"].(float64)
+			if !ok {
+				t.Fatalf("certify span attrs %v: want an evals count", s.Attrs)
+			}
+			evals += e
+		}
+	}
+	if evals == 0 {
+		t.Fatal("certify spans report no actor distance evaluations")
 	}
 	if counts["enumerate"] != 1 {
 		t.Fatalf("enumerate spans = %d, want 1", counts["enumerate"])
