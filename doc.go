@@ -49,7 +49,10 @@
 // neighbor lists. A removal whose affected set outgrows a threshold falls
 // back to one fresh BFS of that row, and IncDist.Stats counts repairs
 // against fallbacks. IncDist.Probe and IncDist.Rollback open a probe on at
-// most two rows and undo it by restoring the saved rows.
+// most two rows and undo it by restoring the saved rows. IncDist.AddedStats
+// answers an edge insertion read-only: the new row of an endpoint u is
+// min(d(u,·), 1+d(v,·)), so both endpoints' costs come from one pass over
+// their two current rows.
 //
 // # Games and equilibria (internal/game, internal/eq)
 //
@@ -134,16 +137,21 @@
 // the ComputeMetrics sidecar (`-metrics-addr`, optional pprof) of sweep,
 // worker and simulate runs: classes, certify latency, cache and store
 // counters, lease state, trajectory outcomes and IncDist repairs and
-// fallbacks. LintExposition checks every exposition in tests. A nil
+// fallbacks (rows repaired by committed moves and by Remove/Swap probes;
+// Add probes repair nothing). LintExposition checks every exposition in tests. A nil
 // Tracer or ComputeMetrics is a valid disabled one.
 //
 // # Dynamics and simulation (internal/dynamics, internal/sim)
 //
 // RunDynamics applies improving moves (PS or BGE move sets) until no
-// candidate improves, the step bound, or cancellation. Candidates are
-// probed through IncDist: probe the actors' rows, apply the move, read
-// their costs from the row aggregates, roll back. A committed move
-// repairs every row. Three schedulers pick the scan order: uniform,
+// candidate improves, the step bound, or cancellation. An Add candidate
+// is decided from the two endpoints' current rows (IncDist.AddedStats),
+// with no mutation. Remove and Swap candidates are probed through IncDist:
+// probe the actors' rows, apply the move, read their costs from the row
+// aggregates, roll back. A committed move repairs every row. The uniform
+// scheduler's reshuffle draws exactly rand.Intn's values through a table
+// of fastmod reciprocals instead of two divisions per draw. Three
+// schedulers pick the scan order: uniform,
 // round-robin, and a breakpoint-guided one that commits the move whose
 // improving α-interval has the widest margin around the current price.
 // DynamicsOptions.FullRecompute keeps the evaluator-per-candidate path as

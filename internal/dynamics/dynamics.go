@@ -73,7 +73,8 @@ type Trace struct {
 	// History records the applied moves in order.
 	History []move.Move
 	// Kernel is the incremental-distance kernel's repair/fallback split
-	// over the run, probes included. Zero under FullRecompute.
+	// over the run: committed moves and Remove/Swap probes (Add probes
+	// repair nothing). Zero under FullRecompute.
 	Kernel graph.IncStats
 }
 

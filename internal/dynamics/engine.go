@@ -63,21 +63,27 @@ type candidate struct {
 }
 
 // engine is the incremental-distance dynamics core. It owns the graph
-// through an IncDist kernel: a candidate probe opens a kernel probe on the
+// through an IncDist kernel. An Add probe never mutates anything: both
+// endpoints' new costs follow from their two current distance rows
+// (IncDist.AddedStats). A Remove or Swap probe opens a kernel probe on the
 // actors' rows, applies the move (only those rows are repaired), reads
 // their costs off the kernel's aggregates, and rolls back, which restores
 // the saved rows instead of repairing them again — no evaluator re-bind,
-// no fresh BFS. A committed move repairs every row. The pair pool and
-// scan permutation are allocated once per run.
+// no fresh BFS. A committed move repairs every row. The pair pool and the
+// shuffle's reciprocal table are allocated once per run.
 type engine struct {
 	gm    game.Game
 	g     *graph.Graph
 	inc   *graph.IncDist
 	sched Scheduler
 
-	pairs  []graph.Edge // all u<v pairs, fixed for the run
-	order  []int32      // scan permutation over pairs (uniform scheduler)
-	cursor int          // round-robin resume position
+	// order is the pair pool: every u<v pair packed as u<<16|v (n ≤ 2¹⁶,
+	// far past what n×n distance rows allow). The round-robin and
+	// breakpoint schedulers scan it in its initial lexicographic order;
+	// the uniform scheduler reshuffles it in place before every scan.
+	order  []uint32
+	draws  intnTable // draws[i] serves rng.Intn(i+1) in the shuffle
+	cursor int       // round-robin resume position
 
 	allowRemove, allowAdd, allowSwap bool
 	hetero                           bool
@@ -95,7 +101,7 @@ func newEngine(gm game.Game, g *graph.Graph, opts Options) *engine {
 		g:       g,
 		inc:     graph.NewIncDist(g),
 		sched:   opts.Scheduler,
-		pairs:   make([]graph.Edge, 0, n*(n-1)/2),
+		order:   make([]uint32, 0, n*(n-1)/2),
 		hetero:  len(gm.Variant.Prices) > 0,
 		maxDist: gm.Variant.Dist == game.DistMax,
 		alphaF:  gm.Alpha.Float(),
@@ -103,12 +109,11 @@ func newEngine(gm game.Game, g *graph.Graph, opts Options) *engine {
 	}
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			e.pairs = append(e.pairs, graph.Edge{U: u, V: v})
+			e.order = append(e.order, uint32(u)<<16|uint32(v))
 		}
 	}
-	e.order = make([]int32, len(e.pairs))
-	for i := range e.order {
-		e.order[i] = int32(i)
+	if e.sched == SchedulerUniform {
+		e.draws = newIntnTable(len(e.order))
 	}
 	for _, k := range opts.Kinds {
 		switch k {
@@ -138,10 +143,16 @@ func (e *engine) cost(a int) game.Cost {
 	return c
 }
 
-// improves mirrors eq's checker.improves: strict lexicographic improvement
-// at the agent's effective price.
-func (e *engine) improves(a int, before game.Cost) bool {
-	return e.gm.LessFor(a, e.cost(a), before)
+// addedCosts returns the costs u and v would have after buying (u,v),
+// read off their two current rows without touching the graph.
+func (e *engine) addedCosts(u, v int) (cu, cv game.Cost) {
+	su, sv := e.inc.AddedStats(u, v)
+	cu = game.Cost{Unreachable: su.Unreach, Buy: int64(e.g.Degree(u)) + 1, Dist: su.Sum}
+	cv = game.Cost{Unreachable: sv.Unreach, Buy: int64(e.g.Degree(v)) + 1, Dist: sv.Sum}
+	if e.maxDist {
+		cu.Dist, cv.Dist = su.Max, sv.Max
+	}
+	return cu, cv
 }
 
 // apply performs the candidate's edge toggles. Inside a kernel probe only
@@ -174,23 +185,39 @@ func (e *engine) actors(c candidate) []int {
 	}
 }
 
-// probe reports whether c strictly improves all its actors. The graph and
-// kernel are restored before it returns.
-func (e *engine) probe(c candidate) bool {
-	rows := e.actors(c)
-	var b0, b1 game.Cost
-	b0 = e.cost(rows[0])
-	if len(rows) == 2 {
-		b1 = e.cost(rows[1])
+// moveCosts returns c's actors with their costs before and after the move.
+// An Add is read off the endpoints' two rows; a Remove or Swap is applied
+// inside a kernel probe and rolled back, so the graph and kernel are
+// unchanged when it returns.
+func (e *engine) moveCosts(c candidate) (rows []int, before, after [2]game.Cost) {
+	rows = e.actors(c)
+	for i, a := range rows {
+		before[i] = e.cost(a)
+	}
+	if c.kind == AddKind {
+		after[0], after[1] = e.addedCosts(c.u, c.v)
+		return rows, before, after
 	}
 	e.inc.Probe(rows)
 	e.apply(c)
-	ok := e.improves(rows[0], b0)
-	if ok && len(rows) == 2 {
-		ok = e.improves(rows[1], b1)
+	for i, a := range rows {
+		after[i] = e.cost(a)
 	}
 	e.inc.Rollback()
-	return ok
+	return rows, before, after
+}
+
+// probe reports whether c strictly improves all its actors, by eq's
+// checker rule: strict lexicographic improvement at each actor's
+// effective price.
+func (e *engine) probe(c candidate) bool {
+	rows, before, after := e.moveCosts(c)
+	for i, a := range rows {
+		if !e.gm.LessFor(a, after[i], before[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // probeMargin is probe for the breakpoint scheduler: when c improves, it
@@ -198,29 +225,22 @@ func (e *engine) probe(c candidate) bool {
 // exact improving interval (the minimum over actors; +Inf when the move
 // improves at every price).
 func (e *engine) probeMargin(c candidate) (float64, bool) {
-	rows := e.actors(c)
-	var b0, b1 game.Cost
-	b0 = e.cost(rows[0])
-	if len(rows) == 2 {
-		b1 = e.cost(rows[1])
-	}
-	e.inc.Probe(rows)
-	e.apply(c)
-	margin, ok := e.actorMargin(rows[0], b0)
-	if ok && len(rows) == 2 {
-		var m2 float64
-		if m2, ok = e.actorMargin(rows[1], b1); ok && m2 < margin {
-			margin = m2
+	rows, before, after := e.moveCosts(c)
+	margin := math.Inf(1)
+	for i, a := range rows {
+		m, ok := e.actorMargin(a, before[i], after[i])
+		if !ok {
+			return 0, false
 		}
+		margin = min(margin, m)
 	}
-	e.inc.Rollback()
-	return margin, ok
+	return margin, true
 }
 
-// actorMargin computes agent a's exact improving interval via the
-// certificate arithmetic and returns α's distance to its boundary.
-func (e *engine) actorMargin(a int, before game.Cost) (float64, bool) {
-	after := e.cost(a)
+// actorMargin computes agent a's exact improving interval from its costs
+// before and after the move via the certificate arithmetic, and returns
+// α's distance to its boundary.
+func (e *engine) actorMargin(a int, before, after game.Cost) (float64, bool) {
 	if e.hetero {
 		p, q := e.gm.Variant.MulFor(a)
 		before, after = before.Scale(p, q), after.Scale(p, q)
@@ -241,10 +261,13 @@ func (e *engine) actorMargin(a int, before game.Cost) (float64, bool) {
 	return margin, true
 }
 
+// unpack returns the two ends of a packed pool pair.
+func unpack(p uint32) (u, v int) { return int(p >> 16), int(p & 0xffff) }
+
 // tryPair probes every allowed candidate over the pair (u,v) in a fixed
 // order and returns the first improving one.
-func (e *engine) tryPair(p graph.Edge) (candidate, bool) {
-	u, v := p.U, p.V
+func (e *engine) tryPair(p uint32) (candidate, bool) {
+	u, v := unpack(p)
 	if e.g.HasEdge(u, v) {
 		if e.allowRemove {
 			if c := (candidate{kind: RemoveKind, u: u, v: v}); e.probe(c) {
@@ -299,29 +322,35 @@ func (e *engine) find(rng *rand.Rand) (candidate, bool) {
 // findUniform shuffles the persistent permutation in place and returns the
 // first improving candidate.
 func (e *engine) findUniform(rng *rand.Rand) (candidate, bool) {
-	ord := e.order
-	for i := len(ord) - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		ord[i], ord[j] = ord[j], ord[i]
-	}
-	for _, pi := range ord {
-		if c, ok := e.tryPair(e.pairs[pi]); ok {
+	e.shuffle(rng)
+	for _, p := range e.order {
+		if c, ok := e.tryPair(p); ok {
 			return c, true
 		}
 	}
 	return candidate{}, false
 }
 
+// shuffle is a Fisher–Yates pass over the scan permutation. Each draw is
+// exactly rng.Intn(i+1), taken without its divisions.
+func (e *engine) shuffle(rng *rand.Rand) {
+	ord := e.order
+	for i := len(ord) - 1; i > 0; i-- {
+		j := e.draws.intn(rng, i)
+		ord[i], ord[j] = ord[j], ord[i]
+	}
+}
+
 // findRoundRobin scans the cyclic pair order starting where the previous
 // improving move was found (the same pair may improve again).
 func (e *engine) findRoundRobin() (candidate, bool) {
-	n := len(e.pairs)
+	n := len(e.order)
 	for k := 0; k < n; k++ {
 		idx := e.cursor + k
 		if idx >= n {
 			idx -= n
 		}
-		if c, ok := e.tryPair(e.pairs[idx]); ok {
+		if c, ok := e.tryPair(e.order[idx]); ok {
 			e.cursor = idx
 			return c, true
 		}
@@ -340,8 +369,8 @@ func (e *engine) findBreakpoint() (candidate, bool) {
 			best, bestMargin, found = c, m, true
 		}
 	}
-	for _, p := range e.pairs {
-		u, v := p.U, p.V
+	for _, p := range e.order {
+		u, v := unpack(p)
 		if e.g.HasEdge(u, v) {
 			if e.allowRemove {
 				consider(candidate{kind: RemoveKind, u: u, v: v})

@@ -32,12 +32,17 @@ func testVariants(t *testing.T, n int) []game.Variant {
 
 // TestEngineMatchesEvaluator differentially pins the incremental probe
 // against eq's full-recompute ImprovingBound on every candidate of random
-// states across all variant axes, and checks probes leave no trace.
+// states across all variant axes, and checks probes leave no trace. The
+// last trial runs at n = 70, past the single-word BFS kernel, so Add
+// queries and probe repairs are also checked on longer rows.
 func TestEngineMatchesEvaluator(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ev := eq.NewEvaluator()
-	for trial := 0; trial < 12; trial++ {
-		n := 5 + rng.Intn(4)
+	for trial := 0; trial < 13; trial++ {
+		n := 70
+		if trial < 12 {
+			n = 5 + rng.Intn(4)
+		}
 		for _, variant := range testVariants(t, n) {
 			gm, err := game.NewGame(n, game.AFrac(int64(1+rng.Intn(8)), 2))
 			if err != nil {
@@ -201,7 +206,9 @@ func TestHistoryPreallocated(t *testing.T) {
 }
 
 // TestTraceKernelStats: Run reports its distance kernel's repair/fallback
-// counters, probes included; the FullRecompute oracle has no kernel.
+// counters: rows repaired by committed moves and by Remove/Swap probes (an
+// Add probe reads two rows and repairs nothing). The FullRecompute oracle
+// has no kernel.
 func TestTraceKernelStats(t *testing.T) {
 	gm, _ := game.NewGame(20, game.A(2))
 	start, err := graph.RandomConnectedGraph(20, 30, rand.New(rand.NewSource(5)))

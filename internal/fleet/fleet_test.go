@@ -185,11 +185,13 @@ func TestReclaimReturnsExpiredLeases(t *testing.T) {
 	if err := Create(dir, mustPlan(t, 4, 2)); err != nil {
 		t.Fatal(err)
 	}
-	dead, ok, err := Claim(dir, "dead", 10*time.Millisecond)
+	// Claim the long lease first: a Claim that ran after the short lease
+	// expired would steal it, leaving Reclaim nothing to return.
+	live, ok, err := Claim(dir, "live", time.Minute)
 	if err != nil || !ok {
 		t.Fatalf("claim: ok=%v err=%v", ok, err)
 	}
-	live, ok, err := Claim(dir, "live", time.Minute)
+	dead, ok, err := Claim(dir, "dead", 10*time.Millisecond)
 	if err != nil || !ok {
 		t.Fatalf("claim: ok=%v err=%v", ok, err)
 	}

@@ -35,6 +35,13 @@ package graph
 // every other row is stale and must not be read. Rollback() undoes the
 // recorded toggles on the graph in reverse order and copies the saved rows
 // back, so undoing a probe costs two row copies, not an inverse repair.
+//
+// Add queries. AddedStats(u,v) answers "what would rows u and v cost after
+// inserting (u,v)?" without touching the graph: a shortest path from u in
+// G+(u,v) either avoids the new edge or starts with it, so
+// d'(u,x) = min(d(u,x), 1+d(v,x)), and symmetrically for v. One pass over
+// the two live rows yields both endpoints' aggregates; no probe, repair or
+// rollback is involved. Only removals and swaps still need Probe.
 type IncDist struct {
 	g *Graph
 	n int
@@ -77,6 +84,13 @@ type IncStats struct {
 }
 
 const incNoDist = int32(Unreachable)
+
+// RowStats are the cost ingredients of one distance row.
+type RowStats struct {
+	Sum     int64 // finite-distance sum
+	Max     int64 // largest finite distance (0 when nothing else is reachable)
+	Unreach int64 // unreachable vertices
+}
 
 // NewIncDist computes full APSP state for g (n BFS passes) and returns a
 // kernel tracking it. The graph must only be mutated through the returned
@@ -142,6 +156,36 @@ func (d *IncDist) MaxDist(s int) int64 {
 		}
 	}
 	return int64(m)
+}
+
+// AddedStats returns the stats rows u and v would have after inserting the
+// edge (u,v), read from the two live rows in one pass: the new d(u,x) is
+// min(d(u,x), 1+d(v,x)), and symmetrically for v. Nothing is mutated and
+// no other row is read, so it may be called at any time rows u and v are
+// live. If (u,v) is already an edge the current stats come back.
+func (d *IncDist) AddedStats(u, v int) (su, sv RowStats) {
+	// incNoDist (-1) widens to the largest uint32, so it acts as +∞ under
+	// min and 1+∞ still exceeds every finite distance.
+	const inf = uint64(^uint32(0))
+	ru, rv := d.rows[u], d.rows[v]
+	rv = rv[:len(ru)]
+	var sumU, sumV, maxU, maxV uint64
+	var un int64
+	for x, a32 := range ru {
+		a, b := uint64(uint32(a32)), uint64(uint32(rv[x]))
+		if min(a, b) == inf {
+			un++ // x lies outside both endpoints' components
+			continue
+		}
+		nu, nv := min(a, b+1), min(b, a+1)
+		sumU += nu
+		sumV += nv
+		maxU = max(maxU, nu)
+		maxV = max(maxV, nv)
+	}
+	su = RowStats{Sum: int64(sumU), Max: int64(maxU), Unreach: un}
+	sv = RowStats{Sum: int64(sumV), Max: int64(maxV), Unreach: un}
+	return su, sv
 }
 
 // Connected reports whether the graph is connected (vacuously true for n=0).

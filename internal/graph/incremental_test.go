@@ -307,3 +307,87 @@ func TestIncDistProbeRollback(t *testing.T) {
 		}
 	}
 }
+
+// bfsRowStats computes s's row stats from a fresh BFS.
+func bfsRowStats(g *Graph, s int, dist []int, bfs *BFSScratch) RowStats {
+	g.BFSScratchInto(s, dist, bfs)
+	var st RowStats
+	for _, dx := range dist {
+		if dx == Unreachable {
+			st.Unreach++
+			continue
+		}
+		st.Sum += int64(dx)
+		st.Max = max(st.Max, int64(dx))
+	}
+	return st
+}
+
+// TestIncDistAddedStats differentially pins the read-only add query: the
+// stats AddedStats predicts for both endpoints must equal the rows AddEdge
+// then repairs and a fresh BFS of the grown graph. Sparse graphs keep
+// several components, so queries join components and reach vertices
+// outside both; n = 200 is simulate's size and one graph lies above
+// MaxBitsetNodes. Commits between queries move the base state.
+func TestIncDistAddedStats(t *testing.T) {
+	cases := []struct{ n, m, queries int }{
+		{2, 0, 4},
+		{12, 6, 300},
+		{40, 30, 300},
+		{200, 260, 80},
+		{MaxBitsetNodes + 8, 600, 12},
+	}
+	joins, outside := 0, 0
+	for _, tc := range cases {
+		n := tc.n
+		rng := rand.New(rand.NewSource(int64(n)))
+		g, err := RandomGraph(n, tc.m, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewIncDist(g)
+		dist := make([]int, n)
+		var bfs BFSScratch
+		for i := 0; i < tc.queries; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v {
+				continue
+			}
+			if g.HasEdge(u, v) {
+				// A present edge changes nothing.
+				su, sv := d.AddedStats(u, v)
+				if su != bfsRowStats(g, u, dist, &bfs) || sv != bfsRowStats(g, v, dist, &bfs) {
+					t.Fatalf("n=%d query %d: AddedStats of present edge (%d,%d) = %+v, %+v", n, i, u, v, su, sv)
+				}
+				continue
+			}
+			if d.Dist(u, v) == Unreachable {
+				joins++
+			}
+			su, sv := d.AddedStats(u, v)
+			if su.Unreach > 0 {
+				outside++
+			}
+			d.AddEdge(u, v)
+			for _, p := range []struct {
+				s   int
+				got RowStats
+			}{{u, su}, {v, sv}} {
+				repaired := RowStats{Sum: d.SumDist(p.s), Max: d.MaxDist(p.s), Unreach: int64(d.UnreachableFrom(p.s))}
+				if fresh := bfsRowStats(g, p.s, dist, &bfs); repaired != fresh {
+					t.Fatalf("n=%d query %d: repaired row %d stats %+v, BFS %+v", n, i, p.s, repaired, fresh)
+				}
+				if p.got != repaired {
+					t.Fatalf("n=%d query %d: AddedStats(%d,%d) row %d = %+v, AddEdge repairs %+v",
+						n, i, u, v, p.s, p.got, repaired)
+				}
+			}
+			if i%7 != 6 {
+				d.RemoveEdge(u, v) // every seventh add is committed
+			}
+		}
+	}
+	if joins == 0 || outside == 0 {
+		t.Fatalf("%d queries joined two components, %d left vertices outside both: want some of each", joins, outside)
+	}
+}

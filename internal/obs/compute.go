@@ -77,7 +77,7 @@ func NewComputeMetrics() *ComputeMetrics {
 	m.trajectorySecs = r.Histogram("bncg_sim_trajectory_duration_seconds",
 		"Wall-clock latency of one dynamics trajectory.", certifyBuckets)
 	m.incRepairs = r.Counter("bncg_incdist_repairs_total",
-		"Distance rows the dynamics kernel repaired incrementally after an edge toggle.")
+		"Distance rows the dynamics kernel repaired incrementally after an edge toggle of a committed move or a Remove/Swap probe.")
 	m.incFallbacks = r.Counter("bncg_incdist_fallbacks_total",
 		"Distance rows the dynamics kernel recomputed by fresh BFS (repair over budget).")
 	r.GaugeFunc("bncg_lease_epoch",
